@@ -48,14 +48,13 @@ let () =
   in
 
   let simulate name plan seed =
-    let sim_rng = Rng.create seed in
+    let fault = (Simnet.Fault.of_failure failure, Rng.create seed) in
     let epochs = Array.init 25 (fun _ -> field.Sampling.Field.draw rng) in
     let mj = ref 0. and acc = ref 0. and reroutes = ref 0 in
     Array.iter
       (fun readings ->
         let r =
-          Prospector.Simnet_exec.collect topo mica ~failure:(failure, sim_rng)
-            plan ~k ~readings
+          Prospector.Simnet_exec.collect topo mica ~fault plan ~k ~readings
         in
         mj := !mj +. r.Prospector.Simnet_exec.total_mj;
         reroutes := !reroutes + r.Prospector.Simnet_exec.reroutes;

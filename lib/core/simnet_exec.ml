@@ -26,7 +26,7 @@ let darkness topo =
   let get () = List.sort_uniq Int.compare !acc in
   (mark, get)
 
-let collect topo mica ?failure ?fault ?policy plan ~k ~readings =
+let collect topo mica ?fault ?policy plan ~k ~readings =
   if Array.length readings <> topo.Sensor.Topology.n then
     invalid_arg "Simnet_exec.collect: readings length mismatch";
   let root = topo.Sensor.Topology.root in
@@ -35,7 +35,7 @@ let collect topo mica ?failure ?fault ?policy plan ~k ~readings =
     | Values vs -> List.length vs * mica.Sensor.Mica2.bytes_per_value
   in
   let engine =
-    Simnet.Engine.create topo mica ?failure ?fault ?policy ~payload_bytes ()
+    Simnet.Engine.create topo mica ?fault ?policy ~payload_bytes ()
   in
   let n = topo.Sensor.Topology.n in
   let participating_children =

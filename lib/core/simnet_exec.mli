@@ -40,7 +40,6 @@ type result = {
 val collect :
   Sensor.Topology.t ->
   Sensor.Mica2.t ->
-  ?failure:Sensor.Failure.t * Rng.t ->
   ?fault:Simnet.Fault.t * Rng.t ->
   ?policy:Simnet.Reliable.policy ->
   Plan.t ->

@@ -37,7 +37,7 @@ type puller = {
   mutable serving : bool;  (* a parent request awaits our response *)
 }
 
-let naive_one topo mica ?failure ?fault ?policy ~k ~readings () =
+let naive_one topo mica ?fault ?policy ~k ~readings () =
   if k < 1 then invalid_arg "Simnet_protocols.naive_one: k must be positive";
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
@@ -46,7 +46,7 @@ let naive_one topo mica ?failure ?fault ?policy ~k ~readings () =
     | Resp (Some _) -> mica.Sensor.Mica2.bytes_per_value
   in
   let engine =
-    Simnet.Engine.create topo mica ?failure ?fault ?policy ~payload_bytes ()
+    Simnet.Engine.create topo mica ?fault ?policy ~payload_bytes ()
   in
   let mark_dark, dark = darkness topo in
   let states =
@@ -161,7 +161,7 @@ type proof_msg =
       sent_all : bool;
     }
 
-let proof_collect topo mica ?failure ?fault ?policy plan ~k ~readings () =
+let proof_collect topo mica ?fault ?policy plan ~k ~readings () =
   if k < 1 then invalid_arg "Simnet_protocols.proof_collect: k must be positive";
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
@@ -177,7 +177,7 @@ let proof_collect topo mica ?failure ?fault ?policy plan ~k ~readings () =
         List.length values * mica.Sensor.Mica2.bytes_per_value
   in
   let engine =
-    Simnet.Engine.create topo mica ?failure ?fault ?policy ~payload_bytes ()
+    Simnet.Engine.create topo mica ?fault ?policy ~payload_bytes ()
   in
   let mark_dark, dark = darkness topo in
   (* Per node: messages received so far, tagged by the child they came
@@ -327,7 +327,7 @@ let dedup_by_origin values =
       end)
     values
 
-let exact topo mica ?failure ?fault ?policy plan ~k ~readings () =
+let exact topo mica ?fault ?policy plan ~k ~readings () =
   if k < 1 then invalid_arg "Simnet_protocols.exact: k must be positive";
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
@@ -343,7 +343,7 @@ let exact topo mica ?failure ?fault ?policy plan ~k ~readings () =
     | MopResp values -> List.length values * bpv
   in
   let engine =
-    Simnet.Engine.create topo mica ?failure ?fault ?policy ~payload_bytes ()
+    Simnet.Engine.create topo mica ?fault ?policy ~payload_bytes ()
   in
   let mark_dark, dark = darkness topo in
   let states =

@@ -31,7 +31,6 @@ type result = {
 val naive_one :
   Sensor.Topology.t ->
   Sensor.Mica2.t ->
-  ?failure:Sensor.Failure.t * Rng.t ->
   ?fault:Simnet.Fault.t * Rng.t ->
   ?policy:Simnet.Reliable.policy ->
   k:int ->
@@ -50,7 +49,6 @@ type proof_result = {
 val proof_collect :
   Sensor.Topology.t ->
   Sensor.Mica2.t ->
-  ?failure:Sensor.Failure.t * Rng.t ->
   ?fault:Simnet.Fault.t * Rng.t ->
   ?policy:Simnet.Reliable.policy ->
   Plan.t ->
@@ -78,7 +76,6 @@ type exact_result = {
 val exact :
   Sensor.Topology.t ->
   Sensor.Mica2.t ->
-  ?failure:Sensor.Failure.t * Rng.t ->
   ?fault:Simnet.Fault.t * Rng.t ->
   ?policy:Simnet.Reliable.policy ->
   Plan.t ->

@@ -1,12 +1,13 @@
 let measure (s : Setup.t) failure plan seed =
-  (* Run every test epoch on the simulator with fresh failure draws. *)
+  (* Run every test epoch on the simulator with fresh detour draws. *)
+  let fault = Simnet.Fault.of_failure failure in
   let rng = Rng.create (seed * 7919) in
   let energies, accuracies, reroutes =
     Array.fold_left
       (fun (es, accs, rr) readings ->
         let r =
           Prospector.Simnet_exec.collect s.Setup.topo s.Setup.mica
-            ~failure:(failure, rng) plan ~k:s.Setup.k ~readings
+            ~fault:(fault, rng) plan ~k:s.Setup.k ~readings
         in
         let acc =
           Prospector.Exec.accuracy ~k:s.Setup.k ~readings

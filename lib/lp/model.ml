@@ -17,7 +17,7 @@ let status_equal a b =
       true
   | (Optimal | Infeasible | Unbounded | Iteration_limit), _ -> false
 
-type row = { terms : (float * var) list; sense : sense; rhs : float; rname : string }
+type row = { terms : (float * var) list; sense : sense; rhs : float }
 
 type t = {
   dir : direction;
@@ -30,7 +30,7 @@ type t = {
   mutable nrows : int;
   (* O(1) per-variable views of the reversed building lists, materialized
      on first lookup or solve and invalidated by [add_var]; keeps
-     [var_name]/[var_bounds] off the O(n) [List.nth] path. *)
+     [var_name] off the O(n) [List.nth] path. *)
   mutable finalized : finalized option;
 }
 
@@ -111,39 +111,20 @@ let set_obj t v c =
   if v < 0 || v >= t.nvars then invalid_arg "Model.set_obj: unknown var";
   t.objs.(v) <- c
 
-let add_constraint t ?(name = "") terms sense rhs =
+let add_constraint t terms sense rhs =
   List.iter
     (fun (_, v) ->
       if v < 0 || v >= t.nvars then
         invalid_arg "Model.add_constraint: unknown var")
     terms;
-  t.rows <- { terms; sense; rhs; rname = name } :: t.rows;
+  t.rows <- { terms; sense; rhs } :: t.rows;
   t.nrows <- t.nrows + 1
 
-let add_le t ?name terms rhs = add_constraint t ?name terms Le rhs
-let add_ge t ?name terms rhs = add_constraint t ?name terms Ge rhs
-let add_eq t ?name terms rhs = add_constraint t ?name terms Eq rhs
+let add_le t terms rhs = add_constraint t terms Le rhs
+let add_ge t terms rhs = add_constraint t terms Ge rhs
+let add_eq t terms rhs = add_constraint t terms Eq rhs
 
 let n_vars t = t.nvars
-let n_constraints t = t.nrows
-
-let var_of_index t j =
-  if j < 0 || j >= t.nvars then invalid_arg "Model.var_of_index: out of range";
-  j
-
-let var_bounds t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.var_bounds: unknown var";
-  let f = finalize t in
-  (f.f_lowers.(v), f.f_uppers.(v))
-
-let obj_coeff t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.obj_coeff: unknown var";
-  t.objs.(v)
-
-let iter_constraints t f =
-  List.iter
-    (fun r -> f ~name:r.rname r.terms r.sense r.rhs)
-    (List.rev t.rows)
 
 let value sol v = sol.values.(v)
 
@@ -214,23 +195,14 @@ let objective_of t values =
   done;
   !acc
 
-let finish_revised t ?row_duals ?basis full_x status stats =
-  (* Values are only meaningful at an optimum; zero them otherwise so no
-     caller can accidentally consume a half-converged iterate. *)
-  let values =
-    if status = Optimal then Array.sub full_x 0 t.nvars
-    else Array.make t.nvars 0.
-  in
-  { status; objective = objective_of t values; values; stats; row_duals; basis }
-
 let map_status = function
   | Revised.Optimal -> Optimal
   | Revised.Infeasible -> Infeasible
   | Revised.Unbounded -> Unbounded
   | Revised.Iteration_limit -> Iteration_limit
 
-(* Non-presolve revised solve, also returning the lowered problem and the
-   raw solver result so {!solve_certified} can re-check them. *)
+(* Revised solve, also returning the lowered problem and the raw solver
+   result so {!solve_certified} can re-check them. *)
 let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
   let prob = to_problem t in
   (* A warm basis is only meaningful for a model of identical shape; the
@@ -253,37 +225,24 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
   let sign = match t.dir with Minimize -> 1. | Maximize -> -1. in
   let row_duals = Array.map (fun y -> sign *. y) res.Revised.duals in
   let basis = { b_nvars = t.nvars; b_nrows = t.nrows; rb = res.Revised.basis } in
+  let status = map_status res.Revised.status in
+  (* Values are only meaningful at an optimum; zero them otherwise so no
+     caller can accidentally consume a half-converged iterate. *)
+  let values =
+    if status = Optimal then Array.sub res.Revised.x 0 t.nvars
+    else Array.make t.nvars 0.
+  in
   let sol =
-    finish_revised t ~row_duals ~basis res.Revised.x
-      (map_status res.Revised.status)
-      (Some res.Revised.stats)
+    {
+      status;
+      objective = objective_of t values;
+      values;
+      stats = Some res.Revised.stats;
+      row_duals = Some row_duals;
+      basis = Some basis;
+    }
   in
   (prob, res, sol)
-
-let solve_revised ?(presolve = false) ?max_iterations ?deadline ?bland_after
-    ?warm_start t =
-  if not presolve then begin
-    let _, _, sol = solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t in
-    sol
-  end
-  else begin
-    let prob = to_problem t in
-    let empty () = Array.make (t.nvars + t.nrows) 0. in
-    match Presolve.apply prob with
-    | Presolve.Infeasible_detected -> finish_revised t (empty ()) Infeasible None
-    | Presolve.Unbounded_detected -> finish_revised t (empty ()) Unbounded None
-    | Presolve.Reduced (reduced, postsolve) ->
-        if reduced.Problem.ncols = 0 then
-          (* Everything was pinned by presolve; the point is feasible. *)
-          finish_revised t (postsolve [||]) Optimal None
-        else begin
-          let res = Revised.solve ?max_iterations ?deadline reduced in
-          finish_revised t
-            (postsolve res.Revised.x)
-            (map_status res.Revised.status)
-            (Some res.Revised.stats)
-        end
-  end
 
 (* ---- lowering to the dense reference solver ----
    The dense solver only supports x >= 0, so general bounds are compiled
@@ -379,12 +338,14 @@ let solve_dense ?max_pivots t =
     basis = None;
   }
 
-let solve ?(solver = `Revised) ?presolve ?max_iterations ?deadline ?bland_after
+let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
     ?warm_start t =
   match solver with
   | `Revised ->
-      solve_revised ?presolve ?max_iterations ?deadline ?bland_after
-        ?warm_start t
+      let _, _, sol =
+        solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
+      in
+      sol
   | `Dense -> solve_dense t
 
 (* ---- certified solves ---- *)

@@ -50,10 +50,10 @@ type solution = {
       (** shadow prices, one per constraint in insertion order: the
           marginal change of the objective (in the model's direction) per
           unit increase of that constraint's right-hand side.  Present when
-          the revised solver ran without presolve. *)
+          the revised solver ran. *)
   basis : basis option;
       (** warm-start token for a subsequent solve; present when the revised
-          solver ran without presolve *)
+          solver ran *)
 }
 
 val create : ?direction:direction -> unit -> t
@@ -75,27 +75,15 @@ val var_name : t -> var -> string
 val set_obj : t -> var -> float -> unit
 (** Overwrite the objective coefficient of a variable. *)
 
-val add_constraint : t -> ?name:string -> (float * var) list -> sense -> float -> unit
+val add_constraint : t -> (float * var) list -> sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [sum coeff*var  <sense>  rhs].
     Duplicate variables in [terms] are summed. *)
 
-val add_le : t -> ?name:string -> (float * var) list -> float -> unit
-val add_ge : t -> ?name:string -> (float * var) list -> float -> unit
-val add_eq : t -> ?name:string -> (float * var) list -> float -> unit
+val add_le : t -> (float * var) list -> float -> unit
+val add_ge : t -> (float * var) list -> float -> unit
+val add_eq : t -> (float * var) list -> float -> unit
 
 val n_vars : t -> int
-val n_constraints : t -> int
-
-val var_of_index : t -> int -> var
-(** Inverse of {!var_index}.  @raise Invalid_argument if out of range. *)
-
-val var_bounds : t -> var -> float * float
-
-val obj_coeff : t -> var -> float
-
-val iter_constraints :
-  t -> (name:string -> (float * var) list -> sense -> float -> unit) -> unit
-(** Visit the constraints in insertion order (used by {!Lp_format}). *)
 
 val to_problem : t -> Problem.t
 (** The model lowered to computational standard form: variable [v] maps to
@@ -106,7 +94,6 @@ val to_problem : t -> Problem.t
 
 val solve :
   ?solver:[ `Revised | `Dense ] ->
-  ?presolve:bool ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?bland_after:int ->
@@ -114,13 +101,11 @@ val solve :
   t ->
   solution
 (** Optimize the model.  The model itself is not modified and may be solved
-    again (e.g. after adding constraints).  [presolve] (default [false],
-    revised solver only) applies {!Presolve} reductions first and maps the
-    solution back.  [deadline] is a wall-clock budget in seconds for the
-    revised solver (best effort; exceeded budgets yield
-    [Iteration_limit]).  [warm_start] feeds a previous solution's basis
-    token back to the revised solver; it is ignored when the shapes differ,
-    when presolve is on, or with the dense solver.  [bland_after] tunes the
+    again (e.g. after adding constraints).  [deadline] is a wall-clock
+    budget in seconds for the revised solver (best effort; exceeded budgets
+    yield [Iteration_limit]).  [warm_start] feeds a previous solution's
+    basis token back to the revised solver; it is ignored when the shapes
+    differ, or with the dense solver.  [bland_after] tunes the
     degeneracy threshold for the Bland's-rule fallback (tests only). *)
 
 val solve_certified :
@@ -130,8 +115,8 @@ val solve_certified :
   ?warm_start:basis ->
   t ->
   solution * Certify.report
-(** Solve with the revised simplex (no presolve) and independently re-check
-    the claim with {!Certify} against the lowered problem data: an optimal
+(** Solve with the revised simplex and independently re-check the claim
+    with {!Certify} against the lowered problem data: an optimal
     pair is checked for primal/dual feasibility and duality gap, an
     infeasible claim for a valid Farkas certificate, an unbounded claim for
     a valid improving ray.  [Iteration_limit] results are always rejected

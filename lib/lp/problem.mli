@@ -25,7 +25,7 @@ val validate : ?strict:bool -> t -> unit
     finite, bounds must not be NaN, no [lower > upper], no [lower = +inf]
     or [upper = -inf].  With [strict] (default [false]), additionally
     reject empty columns — variables appearing in no constraint are legal
-    LP-wise (and are handled by {!Presolve} and both solvers) but are
+    LP-wise (and are handled by both solvers) but are
     almost always a modelling bug in the planning LPs, so the robust
     planning pipeline opts in.
     @raise Invalid_argument with a descriptive message when an invariant

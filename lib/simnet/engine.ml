@@ -33,7 +33,6 @@ type 'msg fault_ctx = {
 type 'msg t = {
   topo : Sensor.Topology.t;
   mica : Sensor.Mica2.t;
-  failure : (Sensor.Failure.t * Rng.t) option;
   fault : 'msg fault_ctx option;
   payload_bytes : 'msg -> int;
   queue : 'msg event Event_queue.t;
@@ -63,7 +62,7 @@ let f_energy = Obs.Metrics.fsum "simnet.energy_mj"
 (* Fixed MAC overhead per transmission, seconds. *)
 let mac_delay = 0.005
 
-let create topo mica ?failure ?fault ?(policy = Reliable.default_policy)
+let create topo mica ?fault ?(policy = Reliable.default_policy)
     ~payload_bytes () =
   let n = topo.Sensor.Topology.n in
   let fault =
@@ -86,7 +85,6 @@ let create topo mica ?failure ?fault ?(policy = Reliable.default_policy)
   {
     topo;
     mica;
-    failure;
     fault;
     payload_bytes;
     queue = Event_queue.create ();
@@ -121,8 +119,8 @@ let sender_share t =
 
 (* The per-message cost is split between sender and receiver in proportion
    to their power draws, so ledgers sum exactly to the Mica2 unicast cost. *)
-let charge_unicast t ~src ~dst ~bytes ~multiplier =
-  let total = Sensor.Mica2.unicast_bytes_mj t.mica ~bytes *. multiplier in
+let charge_unicast t ~src ~dst ~bytes =
+  let total = Sensor.Mica2.unicast_bytes_mj t.mica ~bytes in
   let share = sender_share t in
   t.energy.(src) <- t.energy.(src) +. (total *. share);
   t.energy.(dst) <- t.energy.(dst) +. (total *. (1. -. share))
@@ -131,10 +129,14 @@ let charge_unicast t ~src ~dst ~bytes ~multiplier =
    attempt, the receiver pays per copy that actually arrives, and ACKs are
    free (the Mica2 per-message cost cm already covers the handshake), so a
    lossless run costs exactly what the legacy path charges. *)
-let transmit_reliable t fc ~src ~dst ~seq ~msg ~bytes ~recv_mj ~attempt =
+let transmit_reliable t fc ~src ~dst ~seq ~msg ~bytes ~recv_mj ~attempt
+    ~detour_delay =
   let d_data = transmission_delay t bytes in
-  let rto0 = d_data +. transmission_delay t 0 in
-  Event_queue.add t.queue ~time:(t.now +. d_data)
+  let rto0 = d_data +. detour_delay +. transmission_delay t 0 in
+  (* Summed left to right: a frame without a detour lands at exactly
+     [now + d_data], and same-time events fire in insertion order, so the
+     rounding of these instants decides which handler runs first. *)
+  Event_queue.add t.queue ~time:(t.now +. d_data +. detour_delay)
     (Data { dst; src; seq; msg; recv_mj });
   Event_queue.add t.queue
     ~time:(t.now +. Reliable.timeout fc.policy ~rto0 ~attempt)
@@ -147,24 +149,13 @@ let unicast t ~src ~dst msg =
   let bytes = t.payload_bytes msg in
   match t.fault with
   | None ->
-      let edge = edge_of t src dst in
-      let multiplier, extra_delay =
-        match t.failure with
-        | None -> (1., 0.)
-        | Some (f, rng) ->
-            if Rng.float rng 1. < f.Sensor.Failure.fail_prob.(edge) then begin
-              t.reroutes <- t.reroutes + 1;
-              (f.Sensor.Failure.reroute_factor.(edge), transmission_delay t bytes)
-            end
-            else (1., 0.)
-      in
-      charge_unicast t ~src ~dst ~bytes ~multiplier;
+      charge_unicast t ~src ~dst ~bytes;
       t.unicasts <- t.unicasts + 1;
       t.bytes_sent <- t.bytes_sent + bytes;
       Obs.Metrics.incr m_unicasts;
       Obs.Metrics.add m_bytes bytes;
       Event_queue.add t.queue
-        ~time:(t.now +. transmission_delay t bytes +. extra_delay)
+        ~time:(t.now +. transmission_delay t bytes)
         (Deliver { dst; src; msg })
   | Some fc ->
       if Reliable.is_dead fc.links ~src ~dst then
@@ -173,7 +164,18 @@ let unicast t ~src ~dst msg =
            each other. *)
         Event_queue.add t.queue ~time:t.now (GaveUp { src; dst; msg })
       else begin
-        let total = Sensor.Mica2.unicast_bytes_mj t.mica ~bytes in
+        (* A detoured send (Section 4.4) still arrives, but both ends pay
+           the re-routing premium and the frame spends one more
+           transmission on the air; its timeout stretches to match, so the
+           detour never looks like a loss. *)
+        let multiplier, detour_delay =
+          match Fault.detour fc.fstate ~edge:(edge_of t src dst) with
+          | None -> (1., 0.)
+          | Some factor ->
+              t.reroutes <- t.reroutes + 1;
+              (factor, transmission_delay t bytes)
+        in
+        let total = Sensor.Mica2.unicast_bytes_mj t.mica ~bytes *. multiplier in
         let share = sender_share t in
         t.energy.(src) <- t.energy.(src) +. (total *. share);
         t.unicasts <- t.unicasts + 1;
@@ -183,11 +185,12 @@ let unicast t ~src ~dst msg =
         let recv_mj = total *. (1. -. share) in
         let seq = Reliable.alloc_seq fc.links ~src ~dst in
         let rto0 =
-          transmission_delay t bytes +. transmission_delay t 0
+          transmission_delay t bytes +. detour_delay +. transmission_delay t 0
         in
         Reliable.register fc.links ~src ~dst ~seq
           { Reliable.msg; bytes; rto0; attempts = 1; recv_mj };
         transmit_reliable t fc ~src ~dst ~seq ~msg ~bytes ~recv_mj ~attempt:1
+          ~detour_delay
       end
 
 let broadcast_to t ~src kids msg =
@@ -225,7 +228,7 @@ let broadcast_to t ~src kids msg =
             Reliable.register fc.links ~src ~dst:child ~seq
               { Reliable.msg; bytes; rto0; attempts = 1; recv_mj = recv_share };
             transmit_reliable t fc ~src ~dst:child ~seq ~msg ~bytes
-              ~recv_mj:recv_share ~attempt:1
+              ~recv_mj:recv_share ~attempt:1 ~detour_delay:0.
           end)
         kids);
   t.broadcasts <- t.broadcasts + 1;
@@ -331,8 +334,9 @@ let handle_retransmit t fc ~time:_ ~src ~dst ~seq =
               ("attempt", Obs.Trace.Int p.Reliable.attempts);
               ("bytes", Obs.Trace.Int p.Reliable.bytes);
             ];
-        (* Retransmissions are unicasts with the full handshake, whatever
-           the original frame was. *)
+        (* Retransmissions are unicasts with the full handshake on the
+           direct route, whatever the original frame was: only an
+           original send draws a detour. *)
         let total =
           Sensor.Mica2.unicast_bytes_mj t.mica ~bytes:p.Reliable.bytes
         in
@@ -341,7 +345,7 @@ let handle_retransmit t fc ~time:_ ~src ~dst ~seq =
         p.Reliable.recv_mj <- total *. (1. -. share);
         transmit_reliable t fc ~src ~dst ~seq ~msg:p.Reliable.msg
           ~bytes:p.Reliable.bytes ~recv_mj:p.Reliable.recv_mj
-          ~attempt:p.Reliable.attempts
+          ~attempt:p.Reliable.attempts ~detour_delay:0.
       end
 
 let fault_stat t pick = match t.fault with None -> 0 | Some fc -> pick fc

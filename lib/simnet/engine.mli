@@ -6,27 +6,22 @@
     {!Sensor.Mica2} model — the same constants the planners use — so
     analytic plan costs can be validated against simulated executions.
 
-    Two failure regimes are available, matching the two sides of the
-    paper's Section 4.4:
-
-    - the {e planning-side} model ([?failure], a {!Sensor.Failure}):
-      transient failures make the reliable protocol re-route, inflating
-      cost and latency but never dropping a message;
-    - the {e execution-side} model ([?fault], a {!Fault}): frames are
-      actually lost (Bernoulli drops, loss bursts, node outages).  The
-      engine then runs every [send]/[broadcast_children]/[multicast] over
-      a reliability sublayer — per-frame ACKs, timeout-based
-      retransmission with capped exponential backoff ([?policy]),
-      duplicate suppression and per-link FIFO restoration via sequence
-      numbers (see {!Reliable}) — transparently to the message handlers.
-      A message whose retry budget is exhausted is abandoned: its link is
-      declared dead and the sender's give-up handler ({!on_give_up}) is
-      told, so protocols can degrade gracefully instead of hanging.  In a
-      lossless run the sublayer charges exactly the legacy energy (ACKs
-      ride in the Mica2 per-message cost [cm]); every retransmission pays
-      the full unicast cost again.  When [?fault] is supplied, [?failure]
-      re-routing is not applied — the two models answer different
-      questions and are never active together.
+    Without a fault model every message arrives after its transmission
+    delay.  With one ([?fault], a {!Fault}) frames can be lost (Bernoulli
+    drops, loss bursts, node outages) or detoured around a transiently
+    failed edge (Section 4.4, see {!Fault.of_failure}), and the engine runs
+    every [send]/[broadcast_children]/[multicast] over a reliability
+    sublayer — per-frame ACKs, timeout-based retransmission with capped
+    exponential backoff ([?policy]), duplicate suppression and per-link
+    FIFO restoration via sequence numbers (see {!Reliable}) — transparently
+    to the message handlers.  A message whose retry budget is exhausted is
+    abandoned: its link is declared dead and the sender's give-up handler
+    ({!on_give_up}) is told, so protocols can degrade gracefully instead of
+    hanging.  In a lossless run the sublayer charges exactly the energy of
+    the direct path (ACKs ride in the Mica2 per-message cost [cm]); every
+    retransmission pays the full unicast cost again, and a detoured
+    unicast pays its edge's re-routing factor times the unicast cost plus
+    one extra transmission delay.
 
     The engine is polymorphic in the message type; the [payload_bytes]
     function supplied at creation determines the wire size of each
@@ -52,7 +47,6 @@ type 'msg api = {
 val create :
   Sensor.Topology.t ->
   Sensor.Mica2.t ->
-  ?failure:Sensor.Failure.t * Rng.t ->
   ?fault:Fault.t * Rng.t ->
   ?policy:Reliable.policy ->
   payload_bytes:('msg -> int) ->
@@ -95,8 +89,8 @@ val unicasts_sent : 'msg t -> int
 val broadcasts_sent : 'msg t -> int
 
 val reroutes : 'msg t -> int
-(** Number of transmissions that hit a transient failure and paid the
-    re-routing premium (planning-side [?failure] model only). *)
+(** Unicasts that detoured around a transiently failed edge and paid its
+    re-routing premium (fault models built by {!Fault.of_failure}). *)
 
 val bytes_sent : 'msg t -> int
 (** Payload bytes put on the air so far: unicasts and retransmissions at

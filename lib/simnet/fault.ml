@@ -3,18 +3,12 @@ type t = {
   drop_prob : float array;  (* per edge, indexed by the child endpoint *)
   burst_mean : float;  (* 0. disables burst extension *)
   crashes : (int * float * float) list;
+  detour : Sensor.Failure.t option;
 }
 
 let check_prob context p =
   if Float.is_nan p || p < 0. || p > 1. then
     invalid_arg (context ^ ": drop probability out of [0, 1]")
-
-let none ~n =
-  { n; drop_prob = Array.make n 0.; burst_mean = 0.; crashes = [] }
-
-let bernoulli ~n ~drop =
-  check_prob "Fault.bernoulli" drop;
-  { n; drop_prob = Array.make n drop; burst_mean = 0.; crashes = [] }
 
 let of_probs probs =
   Array.iter (check_prob "Fault.of_probs") probs;
@@ -23,9 +17,38 @@ let of_probs probs =
     drop_prob = Array.copy probs;
     burst_mean = 0.;
     crashes = [];
+    detour = None;
   }
 
-let of_failure (f : Sensor.Failure.t) = of_probs f.Sensor.Failure.drop_prob
+let none ~n = of_probs (Array.make n 0.)
+
+let bernoulli ~n ~drop =
+  check_prob "Fault.bernoulli" drop;
+  of_probs (Array.make n drop)
+
+let of_failure { Sensor.Failure.fail_prob; reroute_factor } =
+  let n = Array.length fail_prob in
+  if Array.length reroute_factor <> n then
+    invalid_arg "Fault.of_failure: length mismatch";
+  Array.iter
+    (fun p ->
+      if Float.is_nan p || p < 0. || p > 1. then
+        invalid_arg "Fault.of_failure: failure probability out of [0, 1]")
+    fail_prob;
+  Array.iter
+    (fun r ->
+      if not (r >= 1.) then
+        invalid_arg "Fault.of_failure: reroute factor below 1")
+    reroute_factor;
+  {
+    (none ~n) with
+    detour =
+      Some
+        {
+          Sensor.Failure.fail_prob = Array.copy fail_prob;
+          reroute_factor = Array.copy reroute_factor;
+        };
+  }
 
 let with_burst t ~mean_length =
   if not (mean_length > 0.) then
@@ -44,8 +67,6 @@ let with_crashes t schedule =
   { t with crashes = schedule @ t.crashes }
 
 let n t = t.n
-
-let drop_prob t e = t.drop_prob.(e)
 
 let node_up t ~node ~at =
   List.for_all
@@ -70,3 +91,11 @@ let drops_frame s ~edge ~at =
        s.burst_until.(edge) <-
          at +. Rng.exponential s.rng ~rate:(1. /. s.config.burst_mean);
      true)
+
+let detour s ~edge =
+  match s.config.detour with
+  | None -> None
+  | Some f ->
+      if Rng.float s.rng 1. < f.Sensor.Failure.fail_prob.(edge) then
+        Some f.Sensor.Failure.reroute_factor.(edge)
+      else None

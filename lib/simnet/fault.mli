@@ -2,8 +2,8 @@
 
     {!Sensor.Failure} describes link trouble the way the {e planner} sees it
     (Section 4.4: inflate edge costs, assume the reliable protocol always
-    recovers).  This module describes what the {e execution} layer actually
-    suffers: frames that vanish on the air.  Three fault classes compose:
+    recovers).  This module is the one model of what the {e execution}
+    layer actually suffers.  Four fault classes compose:
 
     - {b Bernoulli drop}: every frame crossing an edge is lost independently
       with a per-edge probability (indexed by the child endpoint, like every
@@ -14,7 +14,10 @@
     - {b node crash/restart}: scheduled intervals during which a node's
       radio hears nothing.  Frames sent to it are lost; the node's own
       already-queued transmissions still drain (the mote reboots with its
-      RAM intact, so a crash is a reception outage, not an amnesia event).
+      RAM intact, so a crash is a reception outage, not an amnesia event);
+    - {b detour} (Section 4.4): a unicast whose edge transiently fails is
+      re-routed around it.  It still arrives, but pays the edge's
+      re-routing premium in energy and one extra transmission delay.
 
     All randomness flows through the {!Rng.t} handed to {!start}, so a
     simulation under fault injection is reproducible bit-for-bit from its
@@ -36,8 +39,12 @@ val of_probs : float array -> t
     @raise Invalid_argument on a probability outside [0, 1]. *)
 
 val of_failure : Sensor.Failure.t -> t
-(** Lift the planner-side statistics into an execution-layer fault model
-    using the {!Sensor.Failure} [drop_prob] field. *)
+(** Replay the planner-side statistics as detours and nothing else: each
+    original unicast over the edge above node [i] detours with probability
+    [fail_prob.(i)] and then costs [reroute_factor.(i)] times its plain
+    unicast cost.  No frame is ever dropped.
+    @raise Invalid_argument on arrays of different lengths, a probability
+    outside [0, 1] or a factor below 1. *)
 
 val with_burst : t -> mean_length:float -> t
 (** Every Bernoulli drop additionally opens an outage window of
@@ -52,8 +59,6 @@ val with_crashes : t -> (int * float * float) list -> t
     @raise Invalid_argument on a bad node id or an inverted interval. *)
 
 val n : t -> int
-
-val drop_prob : t -> int -> float
 
 val node_up : t -> node:int -> at:float -> bool
 (** Whether the node's radio is listening at simulation time [at]. *)
@@ -74,3 +79,9 @@ val drops_frame : state -> edge:int -> at:float -> bool
     made (and, on a drop with bursts enabled, a new window is opened).
     Calls must be made in event order for reproducibility — the engine's
     event queue guarantees this. *)
+
+val detour : state -> edge:int -> float option
+(** Decide whether one original unicast over [edge] detours:
+    [Some reroute_factor] if it does, [None] if not.  A model with detours
+    makes exactly one draw per call, whatever the edge; any other model
+    makes none, so drop, burst and crash runs keep their random streams. *)

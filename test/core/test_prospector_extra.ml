@@ -275,7 +275,7 @@ let failures_never_lose_answers =
       in
       let lossy =
         Prospector.Simnet_exec.collect topo mica
-          ~failure:(failure, Rng.create (seed + 1))
+          ~fault:(Simnet.Fault.of_failure failure, Rng.create (seed + 1))
           plan ~k ~readings
       in
       ids clean.Prospector.Simnet_exec.returned

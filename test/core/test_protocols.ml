@@ -120,7 +120,7 @@ let protocols_survive_failures =
       let clean = Prospector.Simnet_protocols.naive_one topo mica ~k ~readings () in
       let lossy =
         Prospector.Simnet_protocols.naive_one topo mica
-          ~failure:(failure, Rng.create (seed + 1))
+          ~fault:(Simnet.Fault.of_failure failure, Rng.create (seed + 1))
           ~k ~readings ()
       in
       ids clean.Prospector.Simnet_protocols.returned

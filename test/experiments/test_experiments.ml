@@ -112,6 +112,41 @@ let test_replan_samples_swaps () =
   Alcotest.(check int) "topology untouched" 15
     restricted.Experiments.Setup.topo.Sensor.Topology.n
 
+(* The Section 4.4 ablation at seed 42, quick size: columns plan,
+   energy_mJ, accuracy_%, reroutes/run.  Detours draw one number per
+   original unicast, so reroutes must match exactly; a drift in the draw
+   order changes them. *)
+let failures_golden =
+  [
+    [ 0.; 0x1.7afc83552ba76p+4; 45.3125; 3.125 ];
+    [ 1.; 0x1.8c718cca47bc8p+4; 50.; 3.125 ];
+  ]
+
+let test_failures_golden () =
+  let rows =
+    match Experiments.Ablation_failures.run ~quick:true ~seed:42 () with
+    | [ s ] -> s.Experiments.Series.rows
+    | _ -> Alcotest.fail "expected one series"
+  in
+  let close name want got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.17g vs golden %.17g" name got want)
+      true
+      (Float.abs (got -. want) <= 1e-9 *. Float.abs want)
+  in
+  Alcotest.(check int) "two plans" 2 (List.length rows);
+  List.iter2
+    (fun want got ->
+      match (want, got) with
+      | [ plan; energy; accuracy; reroutes ], [ plan'; energy'; accuracy'; reroutes' ]
+        ->
+          Alcotest.(check (float 0.)) "plan" plan plan';
+          close "energy_mJ" energy energy';
+          close "accuracy_%" accuracy accuracy';
+          Alcotest.(check (float 0.)) "reroutes/run" reroutes reroutes'
+      | _ -> Alcotest.fail "expected four columns")
+    failures_golden rows
+
 let () =
   Alcotest.run "experiments"
     [
@@ -134,5 +169,10 @@ let () =
           Alcotest.test_case "replan samples" `Quick test_replan_samples_swaps;
           Alcotest.test_case "crippled lp still measures" `Quick
             test_crippled_lp_still_measures;
+        ] );
+      ( "ablations",
+        [
+          Alcotest.test_case "failure ablation golden" `Quick
+            test_failures_golden;
         ] );
     ]

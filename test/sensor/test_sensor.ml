@@ -177,14 +177,10 @@ let test_failure_multiplier () =
     {
       Sensor.Failure.fail_prob = [| 0.; 0.5 |];
       reroute_factor = [| 2.; 3. |];
-      drop_prob = [| 0.; 0.5 |];
     }
   in
   check_float "no failure" 1. (Sensor.Failure.expected_multiplier f 0);
-  check_float "half at 3x" 2. (Sensor.Failure.expected_multiplier f 1);
-  check_float "no drops" 1. (Sensor.Failure.expected_transmissions f 0);
-  check_float "half drops double the sends" 2.
-    (Sensor.Failure.expected_transmissions f 1)
+  check_float "half at 3x" 2. (Sensor.Failure.expected_multiplier f 1)
 
 let test_cost_model () =
   let t = chain_topology 3 in
@@ -197,7 +193,6 @@ let test_cost_model () =
     {
       Sensor.Failure.fail_prob = [| 0.; 1.; 0. |];
       reroute_factor = [| 1.; 2.; 1. |];
-      drop_prob = [| 0.; 0.; 0. |];
     }
   in
   let c' = Sensor.Cost.with_failures c f in

@@ -182,12 +182,12 @@ let test_engine_failures_inflate () =
     {
       Sensor.Failure.fail_prob = [| 0.; 1. |];  (* edge 1 always fails *)
       reroute_factor = [| 1.; 2. |];
-      drop_prob = [| 0.; 0. |];
     }
   in
   let rng = Rng.create 1 in
   let engine =
-    Simnet.Engine.create topo mica ~failure:(failure, rng)
+    Simnet.Engine.create topo mica
+      ~fault:(Simnet.Fault.of_failure failure, rng)
       ~payload_bytes:(fun _ -> 10)
       ()
   in
@@ -199,7 +199,62 @@ let test_engine_failures_inflate () =
   Alcotest.(check int) "reroute recorded" 1 (Simnet.Engine.reroutes engine);
   check_float "cost doubled"
     (2. *. Sensor.Mica2.unicast_bytes_mj mica ~bytes:10)
-    (Simnet.Engine.total_energy engine)
+    (Simnet.Engine.total_energy engine);
+  Alcotest.(check int) "detour is not a loss" 0
+    (Simnet.Engine.retransmissions_sent engine);
+  Alcotest.(check int) "nothing dropped" 0 (Simnet.Engine.dropped_frames engine);
+  Alcotest.check_raises "probability above 1 rejected"
+    (Invalid_argument "Fault.of_failure: failure probability out of [0, 1]")
+    (fun () ->
+      ignore
+        (Simnet.Fault.of_failure
+           { failure with Sensor.Failure.fail_prob = [| 0.; 1.5 |] }));
+  Alcotest.check_raises "factor below 1 rejected"
+    (Invalid_argument "Fault.of_failure: reroute factor below 1") (fun () ->
+      ignore
+        (Simnet.Fault.of_failure
+           { failure with Sensor.Failure.reroute_factor = [| 1.; 0.5 |] }))
+
+let test_detours_stay_inside_rto () =
+  (* A message relayed up a depth-5 chain whose every edge always fails
+     with a 5x premium: each hop detours, and the extra transmission delay
+     must stay inside the retransmission timeout, or spurious retransmits
+     would show up as extra energy. *)
+  let n = 6 in
+  let topo = chain n in
+  let run fault =
+    let engine =
+      Simnet.Engine.create topo mica ~fault ~policy:Simnet.Reliable.default_policy
+        ~payload_bytes:(fun _ -> 10)
+        ()
+    in
+    for u = 1 to n - 1 do
+      Simnet.Engine.on_message engine ~node:u (fun api ~src:_ () ->
+          api.Simnet.Engine.send ~dst:(u - 1) ())
+    done;
+    Simnet.Engine.on_message engine ~node:0 (fun _ ~src:_ () -> ());
+    Simnet.Engine.inject engine ~node:(n - 1) ();
+    let latency = Simnet.Engine.run engine in
+    (engine, latency)
+  in
+  let lossless, t_lossless = run (Simnet.Fault.none ~n, Rng.create 3) in
+  let failure =
+    {
+      Sensor.Failure.fail_prob = Array.make n 1.;
+      reroute_factor = Array.make n 5.;
+    }
+  in
+  let detoured, t_detoured =
+    run (Simnet.Fault.of_failure failure, Rng.create 3)
+  in
+  Alcotest.(check int) "every hop detours" (n - 1)
+    (Simnet.Engine.reroutes detoured);
+  Alcotest.(check int) "no spurious retransmissions" 0
+    (Simnet.Engine.retransmissions_sent detoured);
+  check_float "energy is 5x the lossless run"
+    (5. *. Simnet.Engine.total_energy lossless)
+    (Simnet.Engine.total_energy detoured);
+  Alcotest.(check bool) "detours add latency" true (t_detoured > t_lossless)
 
 (* ---- fault injection & the reliability sublayer ---- *)
 
@@ -461,6 +516,8 @@ let () =
           Alcotest.test_case "broadcast and multicast" `Quick test_engine_broadcast_and_multicast;
           Alcotest.test_case "timers" `Quick test_engine_timer;
           Alcotest.test_case "failures inflate cost" `Quick test_engine_failures_inflate;
+          Alcotest.test_case "detours stay inside the RTO" `Quick
+            test_detours_stay_inside_rto;
           Alcotest.test_case "livelock guard" `Quick test_engine_livelock_guard;
         ] );
       ( "reliability",
