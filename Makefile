@@ -1,8 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test stress bench bench-quick bench-json bench-certify \
-	bench-telemetry bench-guarantee bench-churn bench-serve serve-demo \
-	guarantee churn gate lint lint-baseline examples clean
+.PHONY: all build test stress bench bench-quick serve-demo guarantee churn \
+	lint lint-baseline examples clean
 
 all: build
 
@@ -26,29 +25,6 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Machine-readable solver benchmarks (solve times, iteration counts,
-# warm-start comparison); writes BENCH_PR1.json at the repo root.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR1.json
-
-# Certification-overhead record (checker cost vs solve time, drift
-# counters, fallback probe); writes BENCH_PR3.json at the repo root.
-bench-certify:
-	dune exec bench/main.exe -- certify
-
-# Telemetry record: LP solve-time histogram percentiles, per-epoch
-# energy/traffic from a lossy simulated collection, and the telemetry
-# overhead probe.  Writes BENCH_PR4.json plus the raw trace
-# (OBS_TRACE.jsonl / OBS_TRACE.csv) at the repo root.
-bench-telemetry:
-	dune exec bench/main.exe -- telemetry
-
-# Guarantee trade-off record: the certified (eps, delta) bound along a
-# budget ladder plus one escalation run; writes BENCH_GUARANTEE.json at
-# the repo root.
-bench-guarantee:
-	dune exec bench/main.exe -- guarantee
-
 # Statistical bound-violation sweep (the certified-guarantee harness) with
 # its JSON summary written next to the repo root.  Tune with
 # GUARANTEE_SEEDS / GUARANTEE_SEED_OFFSET, e.g.
@@ -56,12 +32,6 @@ bench-guarantee:
 guarantee:
 	GUARANTEE_SUMMARY=$(CURDIR)/_guarantee_sweep.json \
 	  dune exec test/core/test_guarantee.exe
-
-# Churn recovery record: per-victim plan-surgery latency and delta-install
-# energy vs a full re-plan, plus one crash-restart controller campaign;
-# writes BENCH_CHURN.json at the repo root.
-bench-churn:
-	dune exec bench/main.exe -- churn
 
 # Chaos campaign (the self-healing harness): crash / crash-restart /
 # burst+bernoulli+crash schedules across rotating seeds, with its JSON
@@ -72,35 +42,10 @@ churn:
 	CHURN_SUMMARY=$(CURDIR)/_churn_sweep.json \
 	  dune exec test/core/test_churn.exe
 
-# Serving-layer record: cold vs cache-hit vs pooled-warm latencies, the
-# mixed hit-traffic speedup, domain-scaling makespans and the cache/pool
-# counters over a seeded multi-tenant query stream; writes
-# BENCH_SERVE.json at the repo root.  The bench itself enforces the
-# acceptance thresholds (>= 5x hit traffic vs cold, > 1.5x scaling 1->4).
-bench-serve:
-	dune exec bench/main.exe -- serve
-
 # Walk every serving regime (cold / coalesced / cache / pool / certified
 # guarantee) on a tiny two-tenant server and print the stats and trace.
 serve-demo:
 	dune exec bin/serve_demo.exe
-
-# Perf-regression gate: regenerate the perf records into _gate_fresh_*
-# scratch files (never over the committed baselines) and compare each
-# against its committed BENCH_*.json within the gate's tolerances
-# (±30% on latencies, exact on deterministic energies and serving
-# counters).  The comparator self-test runs first so a broken gate can't
-# pass anything.
-gate:
-	dune exec tools/bench_gate.exe -- --self-test
-	dune exec bench/main.exe -- --json _gate_fresh_pr1.json
-	dune exec bench/main.exe -- certify --out _gate_fresh_pr3.json
-	dune exec bench/main.exe -- churn --out _gate_fresh_churn.json
-	dune exec bench/main.exe -- serve --out _gate_fresh_serve.json
-	dune exec tools/bench_gate.exe -- BENCH_PR1.json _gate_fresh_pr1.json
-	dune exec tools/bench_gate.exe -- BENCH_PR3.json _gate_fresh_pr3.json
-	dune exec tools/bench_gate.exe -- BENCH_CHURN.json _gate_fresh_churn.json
-	dune exec tools/bench_gate.exe -- BENCH_SERVE.json _gate_fresh_serve.json
 
 # Typed invariant lint (tools/repolint): determinism, hash-order,
 # polymorphic comparison, partial accessors, stdout hygiene, plus the

@@ -6,7 +6,10 @@
      dune exec bench/main.exe                 -- everything, full size
      dune exec bench/main.exe -- --quick      -- everything, small instances
      dune exec bench/main.exe -- fig3 fig5    -- selected experiments
-     dune exec bench/main.exe -- --seed 7 fig4 *)
+     dune exec bench/main.exe -- --seed 7 fig4
+
+   End-to-end wall-clock performance is measured by perfbench/ (see
+   BENCHMARK.json), not here. *)
 
 open Bechamel
 open Toolkit
@@ -14,14 +17,6 @@ open Toolkit
 let seed = ref 20060403 (* ICDE 2006 *)
 let quick = ref false
 let csv_dir = ref None
-let json_path = ref None
-
-(* Output override for the record-writing experiments ([certify],
-   [telemetry]); lets CI write fresh records next to — never over — the
-   committed baselines. *)
-let out_path = ref None
-
-let out_or default = Option.value !out_path ~default
 
 let slug title =
   String.map
@@ -58,19 +53,6 @@ let run_figures name runner =
 
 (* ---- LP solve-time micro-benchmarks ---- *)
 
-let lp_instance ~n ~n_samples ~k =
-  let rng = Rng.create !seed in
-  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
-  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
-  let topo = Sensor.Topology.build layout ~range in
-  let cost = Sensor.Cost.of_mica2 topo Sensor.Mica2.default in
-  let field =
-    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
-      ~sigma_lo:1. ~sigma_hi:4.
-  in
-  let samples = Sampling.Sample_set.draw rng field ~k ~count:n_samples in
-  (topo, cost, samples, k)
-
 let bechamel_table tests =
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -101,7 +83,9 @@ let run_lp_timing () =
   let tests =
     List.concat_map
       (fun (n, m, k) ->
-        let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
+        let { Experiments.Setup.topo; cost; samples; _ } =
+          Experiments.Setup.lp_instance ~seed:!seed ~n ~n_samples:m ~k
+        in
         let anchor =
           Prospector.Plan.expected_collection_mj topo cost
             (Prospector.Proof_exec.min_bandwidth_plan topo)
@@ -125,7 +109,9 @@ let run_lp_timing () =
   (* PROSPECTOR-PROOF is too slow for micro-benchmarking; report wall
      clock over a single solve, as the paper does for CPLEX. *)
   let n, m, k = if !quick then (25, 6, 5) else (40, 10, 8) in
-  let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
+  let { Experiments.Setup.topo; cost; samples; _ } =
+    Experiments.Setup.lp_instance ~seed:!seed ~n ~n_samples:m ~k
+  in
   let anchor =
     Prospector.Plan.expected_collection_mj topo cost
       (Prospector.Proof_exec.min_bandwidth_plan topo)
@@ -142,1032 +128,6 @@ let run_lp_timing () =
       Format.printf "  (simplex: %d iterations, %d refactorizations)@."
         s.Lp.Revised.iterations s.Lp.Revised.refactorizations
   | None -> ()
-
-(* ---- machine-readable perf record (--json) ----
-
-   Wall-clock timings plus simplex iteration counts for the LP planner
-   suite, and a warm-vs-cold comparison on a perturbed planning LP.  The
-   output is committed as BENCH_PR<n>.json so later PRs have a perf
-   trajectory to regress against; keep the shape stable. *)
-
-let median l =
-  let a = List.sort Float.compare l in
-  List.nth a (List.length a / 2)
-
-let time_solves ~reps f =
-  ignore (f ()) (* warmup *);
-  let times = ref [] and iters = ref 0 in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let stats = f () in
-    times := (1000. *. (Unix.gettimeofday () -. t0)) :: !times;
-    match (stats : Lp.Revised.stats option) with
-    | Some s -> iters := s.Lp.Revised.iterations
-    | None -> ()
-  done;
-  (median !times, !iters)
-
-(* The planner-suite timing rows shared by the [--json] record and the
-   [telemetry] record: median wall-clock and final iteration count for
-   lp-lf and lp+lf at each instance size. *)
-let solver_rows sizes =
-  List.concat_map
-    (fun (n, m, k) ->
-      let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
-      let anchor =
-        Prospector.Plan.expected_collection_mj topo cost
-          (Prospector.Proof_exec.min_bandwidth_plan topo)
-      in
-      let budget = 1.2 *. anchor in
-      let reps = if n >= 100 then 5 else 9 in
-      let row name stats_of =
-        let ms, iters = time_solves ~reps stats_of in
-        Printf.sprintf
-          {|    {"name": "%s", "n": %d, "samples": %d, "k": %d, "ms_per_solve": %.3f, "iterations": %d}|}
-          name n m k ms iters
-      in
-      [
-        row "lp-lf" (fun () ->
-            (Prospector.Lp_no_lf.plan topo cost samples ~budget)
-              .Prospector.Lp_no_lf.lp_stats);
-        row "lp+lf" (fun () ->
-            (Prospector.Lp_lf.plan topo cost samples ~budget ~k)
-              .Prospector.Lp_lf.lp_stats);
-      ])
-    sizes
-
-let run_json_bench path =
-  Format.printf "@.######## JSON perf record -> %s ########@." path;
-  (* Open the output before measuring so a bad path fails fast. *)
-  let oc = open_out path in
-  let solver_rows = solver_rows [ (50, 15, 10); (100, 30, 20) ] in
-  (* Warm-started replanning: solve a planning LP, perturb the energy
-     budget, and re-solve both cold and warm from the first solve's basis. *)
-  let n, m, k = (100, 30, 20) in
-  let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
-  let anchor =
-    Prospector.Plan.expected_collection_mj topo cost
-      (Prospector.Proof_exec.min_bandwidth_plan topo)
-  in
-  let budget = 1.2 *. anchor in
-  let first = Prospector.Lp_lf.plan topo cost samples ~budget ~k in
-  let perturbed = 1.05 *. budget in
-  let iters_of (r : Prospector.Lp_lf.result) =
-    match r.Prospector.Lp_lf.lp_stats with
-    | Some s -> s.Lp.Revised.iterations
-    | None -> 0
-  in
-  let t0 = Unix.gettimeofday () in
-  let cold = Prospector.Lp_lf.plan topo cost samples ~budget:perturbed ~k in
-  let cold_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  let t0 = Unix.gettimeofday () in
-  let warm =
-    Prospector.Lp_lf.plan ?warm_start:first.Prospector.Lp_lf.basis topo cost
-      samples ~budget:perturbed ~k
-  in
-  let warm_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  let obj_gap =
-    Float.abs
-      (cold.Prospector.Lp_lf.lp_objective -. warm.Prospector.Lp_lf.lp_objective)
-  in
-  Printf.fprintf oc
-    {|{
-  "seed": %d,
-  "lp_solve_times": [
-%s
-  ],
-  "pr1_seed_baseline": {
-    "comment": "pre-PR1 solver (full Dantzig pricing, cold starts) on the same instances/harness/machine, recorded when PR1 landed",
-    "lp_solve_times": [
-      {"name": "lp-lf", "n": 50, "samples": 15, "k": 10, "ms_per_solve": 0.759, "iterations": 58},
-      {"name": "lp+lf", "n": 50, "samples": 15, "k": 10, "ms_per_solve": 8.983, "iterations": 243},
-      {"name": "lp-lf", "n": 100, "samples": 30, "k": 20, "ms_per_solve": 2.004, "iterations": 132},
-      {"name": "lp+lf", "n": 100, "samples": 30, "k": 20, "ms_per_solve": 94.908, "iterations": 809}
-    ]
-  },
-  "warm_start_replan": {
-    "instance": {"n": %d, "samples": %d, "k": %d, "budget_perturbation": 1.05},
-    "cold_ms": %.3f,
-    "cold_iterations": %d,
-    "warm_ms": %.3f,
-    "warm_iterations": %d,
-    "warm_cold_iteration_ratio": %.4f,
-    "objective_abs_gap": %.6g
-  }
-}
-|}
-    !seed
-    (String.concat ",\n" solver_rows)
-    n m k cold_ms (iters_of cold) warm_ms (iters_of warm)
-    (float_of_int (iters_of warm) /. Float.max 1. (float_of_int (iters_of cold)))
-    obj_gap;
-  close_out oc;
-  Format.printf "cold: %.2f ms (%d iterations)  warm: %.2f ms (%d iterations)@."
-    cold_ms (iters_of cold) warm_ms (iters_of warm)
-
-(* ---- certification-overhead record (certify -> BENCH_PR3.json) ----
-
-   What the certified fallback chain costs on the exact LP+LF models the
-   planner solves: plain solve vs solve + independent certification, the
-   numerical-drift refactorization counters, and a probe that the dense
-   rescue stage engages when the revised solver is starved.  Acceptance:
-   certification overhead below 5% of solve time. *)
-
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (1000. *. (Unix.gettimeofday () -. t0), r)
-
-let run_certify_bench path =
-  Format.printf "@.######## Certification overhead -> %s ########@." path;
-  let oc = open_out path in
-  let sizes =
-    if !quick then [ (40, 10, 8) ] else [ (50, 15, 10); (100, 30, 20) ]
-  in
-  let rows =
-    List.map
-      (fun (n, m, k) ->
-        let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
-        let anchor =
-          Prospector.Plan.expected_collection_mj topo cost
-            (Prospector.Proof_exec.min_bandwidth_plan topo)
-        in
-        let budget = 1.2 *. anchor in
-        let model = Prospector.Lp_lf.lp_model topo cost samples ~budget ~k in
-        (* Time solver and checker separately on the lowered problem (the
-           same pair {!Lp.Model.solve_certified} runs); subtracting two
-           noisy end-to-end timings would drown the checker's cost. *)
-        let prob = Lp.Model.to_problem model in
-        let reps = if n >= 100 then 7 else 15 in
-        ignore (Lp.Revised.solve prob) (* warmup *);
-        let solve_times = ref [] and cert_times = ref [] in
-        let res = ref (Lp.Revised.solve prob) and report = ref None in
-        for _ = 1 to reps do
-          let ms, r = time_ms (fun () -> Lp.Revised.solve prob) in
-          solve_times := ms :: !solve_times;
-          res := r;
-          let ms, rep =
-            time_ms (fun () ->
-                Lp.Certify.certify_optimal prob ~x:!res.Lp.Revised.x
-                  ~duals:!res.Lp.Revised.duals)
-          in
-          cert_times := ms :: !cert_times;
-          report := Some rep
-        done;
-        let solve_ms = median !solve_times and cert_ms = median !cert_times in
-        let overhead_pct = 100. *. cert_ms /. solve_ms in
-        let stats = !res.Lp.Revised.stats in
-        let drift = stats.Lp.Revised.drift_refactorizations
-        and growth = stats.Lp.Revised.growth_refactorizations in
-        let certified, gap =
-          match !report with
-          | Some r -> (r.Lp.Certify.certified, r.Lp.Certify.duality_gap)
-          | None -> (false, Float.nan)
-        in
-        Format.printf
-          "lp+lf n=%d samples=%d k=%d: solve %.3f ms, certify %.4f ms \
-           (%.2f%%), certified=%b, drift/growth refactors %d/%d@."
-          n m k solve_ms cert_ms overhead_pct certified drift growth;
-        ( overhead_pct,
-          Printf.sprintf
-            {|    {"planner": "lp+lf", "n": %d, "samples": %d, "k": %d, "solve_ms": %.4f, "certify_ms": %.4f, "overhead_pct": %.3f, "certified": %b, "duality_gap": %.6g, "drift_refactorizations": %d, "growth_refactorizations": %d}|}
-            n m k solve_ms cert_ms overhead_pct certified gap drift growth ))
-      sizes
-  in
-  let max_overhead =
-    List.fold_left (fun acc (p, _) -> Float.max acc p) neg_infinity rows
-  in
-  (* Fallback probe: starved revised solver is rejected end to end; an
-     expired deadline starves only the revised stage, so the dense
-     reference must rescue (and certify) the solve. *)
-  let n, m, k = (40, 10, 8) in
-  let topo, cost, samples, k = lp_instance ~n ~n_samples:m ~k in
-  let anchor =
-    Prospector.Plan.expected_collection_mj topo cost
-      (Prospector.Proof_exec.min_bandwidth_plan topo)
-  in
-  let model =
-    Prospector.Lp_lf.lp_model topo cost samples ~budget:(1.2 *. anchor) ~k
-  in
-  let starved_rejected =
-    match Prospector.Robust_plan.solve ~max_iterations:0 model with
-    | Error (Prospector.Robust_plan.No_certified_solution _) -> true
-    | _ -> false
-  in
-  let dense_ms, dense_rescued =
-    time_ms (fun () ->
-        match Prospector.Robust_plan.solve ~deadline:0. model with
-        | Ok r ->
-            r.Prospector.Robust_plan.provenance
-            = Prospector.Robust_plan.Certified_dense
-        | Error _ -> false)
-  in
-  Format.printf
-    "fallback probe: starved rejected=%b, dense rescue=%b (%.2f ms)@."
-    starved_rejected dense_rescued dense_ms;
-  Printf.fprintf oc
-    {|{
-  "seed": %d,
-  "certification_overhead": [
-%s
-  ],
-  "acceptance": {"threshold_pct": 5.0, "max_overhead_pct": %.3f, "pass": %b},
-  "fallback_probe": {
-    "instance": {"n": %d, "samples": %d, "k": %d},
-    "starved_solver_rejected": %b,
-    "expired_deadline_dense_rescue": %b,
-    "dense_rescue_ms": %.3f
-  }
-}
-|}
-    !seed
-    (String.concat ",\n" (List.map snd rows))
-    max_overhead
-    (max_overhead < 5.0)
-    n m k starved_rejected dense_rescued dense_ms;
-  close_out oc
-
-(* ---- telemetry record (telemetry -> BENCH_PR4.json) ----
-
-   Exercises the lib/obs stack end to end: the LP planner suite with
-   metrics armed (so the registered solve-time histogram fills), a lossy
-   simulated collection whose per-epoch spans are read back out of the
-   trace sink and cross-checked against the engine's energy ledger, and an
-   overhead probe timing fig3 --quick with telemetry off vs on.
-   Acceptance: telemetry overhead below 2%. *)
-
-let run_telemetry_bench path =
-  Format.printf "@.######## Telemetry record -> %s ########@." path;
-  let oc = open_out path in
-  (* Overhead probe first, from a clean slate: fig3 --quick is the paper's
-     headline experiment and crosses every instrumented layer. *)
-  (* Untimed warmup, then interleaved off/on reps so allocator and GC
-     drift across the probe hits both sides equally. *)
-  ignore (Experiments.Fig3.run ?quick:(Some true) ~seed:!seed ());
-  let fig3_ms ~telemetry =
-    Obs.Metrics.set_enabled telemetry;
-    if telemetry then Obs.Trace.install (Some (Obs.Trace.create ()));
-    let t0 = Unix.gettimeofday () in
-    ignore (Experiments.Fig3.run ?quick:(Some true) ~seed:!seed ());
-    let ms = 1000. *. (Unix.gettimeofday () -. t0) in
-    Obs.Metrics.set_enabled false;
-    Obs.Trace.install None;
-    ms
-  in
-  (* Machine noise on a ~60 ms workload comes in multi-second CPU-speed
-     phases several times larger than the effect being measured, so
-     whole-side aggregates (means, medians, even minima) never converge.
-     Instead: back-to-back pairs — the two runs of a pair share a phase,
-     so their difference isolates the overhead — with the within-pair
-     order alternated to cancel any residual drift, and the median taken
-     across pairs to shed the few pairs that straddle a phase boundary. *)
-  let pairs = 25 in
-  let off_times = ref [] and on_times = ref [] and diffs = ref [] in
-  for i = 1 to pairs do
-    let off, on =
-      if i mod 2 = 0 then
-        let off = fig3_ms ~telemetry:false in
-        (off, fig3_ms ~telemetry:true)
-      else
-        let on = fig3_ms ~telemetry:true in
-        (fig3_ms ~telemetry:false, on)
-    in
-    off_times := off :: !off_times;
-    on_times := on :: !on_times;
-    diffs := (100. *. (on -. off) /. off) :: !diffs
-  done;
-  let minimum l = List.fold_left Float.min infinity l in
-  let disabled_ms = minimum !off_times in
-  let enabled_ms = minimum !on_times in
-  let overhead_pct = median !diffs in
-  Format.printf
-    "fig3 --quick: best %.1f ms off, %.1f ms on; median paired overhead \
-     %+.2f%%@."
-    disabled_ms enabled_ms overhead_pct;
-  (* Everything below runs with telemetry armed and one sink collecting. *)
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  let sink = Obs.Trace.create () in
-  Obs.Trace.install (Some sink);
-  let lp_sizes =
-    if !quick then [ (40, 10, 8) ] else [ (50, 15, 10); (100, 30, 20) ]
-  in
-  let rows = solver_rows lp_sizes in
-  let solve_hist =
-    match List.assoc_opt "lp.revised.solve_s" (Obs.Metrics.snapshot ()) with
-    | Some (Obs.Metrics.Distribution d) ->
-        let ms x = Obs.Json.Num (1000. *. x) in
-        Obs.Json.Obj
-          [
-            ("count", Obs.Json.Num (float_of_int d.count));
-            ("p50_ms", ms d.p50);
-            ("p90_ms", ms d.p90);
-            ("p99_ms", ms d.p99);
-            ("max_ms", ms d.max);
-          ]
-    | _ -> Obs.Json.Null
-  in
-  (* Lossy collection workload: the fig3 network under Bernoulli frame
-     drops, full-bandwidth NAIVE-k plan, one engine run per test epoch. *)
-  let n = if !quick then 30 else 60 in
-  let k = if !quick then 6 else 10 in
-  let n_test = if !quick then 6 else 12 in
-  let drop = 0.1 in
-  let s =
-    Experiments.Setup.uniform_gaussian ~seed:!seed ~n ~k
-      ~n_samples:(if !quick then 5 else 10)
-      ~n_test ()
-  in
-  let plan =
-    Prospector.Plan.make s.Experiments.Setup.topo
-      (Array.mapi
-         (fun i size ->
-           if i = s.Experiments.Setup.topo.Sensor.Topology.root then 0
-           else Int.min size k)
-         s.Experiments.Setup.topo.Sensor.Topology.subtree_size)
-  in
-  let fault = Simnet.Fault.bernoulli ~n ~drop in
-  let rng = Rng.create (!seed * 6151) in
-  let before = Obs.Trace.length sink in
-  let engine_mj =
-    Array.fold_left
-      (fun acc readings ->
-        let r =
-          Prospector.Simnet_exec.collect s.Experiments.Setup.topo
-            s.Experiments.Setup.mica ~fault:(fault, rng) plan
-            ~k:s.Experiments.Setup.k ~readings
-        in
-        acc +. r.Prospector.Simnet_exec.total_mj)
-      0. s.Experiments.Setup.test_epochs
-  in
-  let epoch_events =
-    List.filteri (fun i _ -> i >= before) (Obs.Trace.events sink)
-    |> List.filter (fun e -> e.Obs.Trace.kind = Obs.Trace.Epoch)
-  in
-  let num e key = Option.value ~default:0. (Obs.Trace.number e key) in
-  let trace_mj =
-    List.fold_left (fun acc e -> acc +. num e "energy_mj") 0. epoch_events
-  in
-  let epoch_rows =
-    List.mapi
-      (fun i e ->
-        Obs.Json.Obj
-          [
-            ("epoch", Obs.Json.Num (float_of_int i));
-            ("energy_mj", Obs.Json.Num (num e "energy_mj"));
-            ("unicasts", Obs.Json.Num (num e "unicasts"));
-            ("broadcasts", Obs.Json.Num (num e "broadcasts"));
-            ("bytes", Obs.Json.Num (num e "bytes"));
-            ("retransmissions", Obs.Json.Num (num e "retransmissions"));
-            ("dropped", Obs.Json.Num (num e "dropped"));
-            ("sim_time_s", Obs.Json.Num (num e "sim_time_s"));
-          ])
-      epoch_events
-  in
-  let energy_consistent =
-    Float.abs (trace_mj -. engine_mj) <= 1e-6 *. Float.max 1. engine_mj
-  in
-  Format.printf
-    "simnet: %d epochs, %.1f mJ by engine ledger, %.1f mJ by trace, \
-     consistent=%b@."
-    (List.length epoch_events)
-    engine_mj trace_mj energy_consistent;
-  (* Export the trace through both sinks' formats, then stand down. *)
-  let events = Obs.Trace.events sink in
-  Obs.Trace.to_file "OBS_TRACE.jsonl" events;
-  Obs.Trace.to_csv_file "OBS_TRACE.csv" events;
-  Obs.Metrics.set_enabled false;
-  Obs.Trace.install None;
-  let record =
-    Obs.Json.Obj
-      [
-        ("schema_version", Obs.Json.Num 1.);
-        ("seed", Obs.Json.Num (float_of_int !seed));
-        ("quick", Obs.Json.Bool !quick);
-        ( "lp_solve_times",
-          Obs.Json.List
-            (List.map
-               (fun row -> Obs.Json.parse_exn (String.trim row))
-               rows) );
-        ("lp_solve_histogram", solve_hist);
-        ( "simnet_epochs",
-          Obs.Json.Obj
-            [
-              ( "instance",
-                Obs.Json.Obj
-                  [
-                    ("n", Obs.Json.Num (float_of_int n));
-                    ("k", Obs.Json.Num (float_of_int k));
-                    ("drop", Obs.Json.Num drop);
-                    ("epochs", Obs.Json.Num (float_of_int n_test));
-                  ] );
-              ("rows", Obs.Json.List epoch_rows);
-              ("engine_total_mj", Obs.Json.Num engine_mj);
-              ("trace_total_mj", Obs.Json.Num trace_mj);
-              ("energy_consistent", Obs.Json.Bool energy_consistent);
-            ] );
-        ( "telemetry_overhead",
-          Obs.Json.Obj
-            [
-              ("workload", Obs.Json.Str "fig3 --quick");
-              ("reps", Obs.Json.Num 25.);
-              ("disabled_ms", Obs.Json.Num disabled_ms);
-              ("enabled_ms", Obs.Json.Num enabled_ms);
-              ("overhead_pct", Obs.Json.Num overhead_pct);
-              ("threshold_pct", Obs.Json.Num 2.);
-              ("pass", Obs.Json.Bool (overhead_pct < 2.));
-            ] );
-        ("trace_files", Obs.Json.List
-          [ Obs.Json.Str "OBS_TRACE.jsonl"; Obs.Json.Str "OBS_TRACE.csv" ]);
-      ]
-  in
-  output_string oc (Obs.Json.to_string_pretty record);
-  output_char oc '\n';
-  close_out oc
-
-(* ---- guarantee trade-off record (guarantee -> BENCH_GUARANTEE.json) ----
-
-   The certified (eps, delta) bound as a function of energy budget: one
-   fixed instance, a budget ladder, two confidence levels.  Each rung
-   plans on one sample window and certifies on a disjoint one — the same
-   discipline Robust_plan.plan_with_guarantee enforces — so the recorded
-   eps is honest certified slack, not a resubstitution estimate.  A final
-   escalation run records what budget the ladder had to reach to certify
-   a fixed (eps, delta) target, the curve read in reverse. *)
-
-let run_guarantee_bench path =
-  Format.printf "@.######## Guarantee trade-off -> %s ########@." path;
-  let oc = open_out path in
-  let n = if !quick then 25 else 40 in
-  let k = if !quick then 5 else 8 in
-  let m = if !quick then 60 else 120 in
-  let rng = Rng.create (!seed * 7919) in
-  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
-  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
-  let topo = Sensor.Topology.build layout ~range in
-  let cost = Sensor.Cost.of_mica2 topo Sensor.Mica2.default in
-  let field =
-    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30. ~sigma_lo:1.
-      ~sigma_hi:4.
-  in
-  let plan_window = Sampling.Sample_set.draw rng field ~k ~count:m in
-  let cert_window = Sampling.Sample_set.draw rng field ~k ~count:m in
-  let anchor =
-    Prospector.Plan.expected_collection_mj topo cost
-      (Prospector.Proof_exec.min_bandwidth_plan topo)
-  in
-  let fractions = [ 0.2; 0.35; 0.5; 0.7; 0.9; 1.1 ] in
-  let deltas = [ 1e-2; 1e-6 ] in
-  let curve =
-    List.concat_map
-      (fun delta ->
-        List.map
-          (fun frac ->
-            let budget = frac *. anchor in
-            let r = Prospector.Lp_lf.plan topo cost plan_window ~budget ~k in
-            let g =
-              Prospector.Guarantee.compute ~delta
-                ?report:r.Prospector.Lp_lf.certify
-                ~objective:r.Prospector.Lp_lf.lp_objective topo cost
-                r.Prospector.Lp_lf.plan ~k cert_window
-            in
-            Format.printf
-              "delta=%g budget=%6.1f mJ: accuracy %.3f, eps %.3f, certified \
-               lower %.3f (%s)@."
-              delta budget g.Prospector.Guarantee.empirical_accuracy
-              g.Prospector.Guarantee.eps g.Prospector.Guarantee.certified_lower
-              (Prospector.Guarantee.family_to_string
-                 g.Prospector.Guarantee.family);
-            Obs.Json.Obj
-              [
-                ("delta", Obs.Json.Num delta);
-                ("budget_mj", Obs.Json.Num budget);
-                ("budget_fraction_of_full", Obs.Json.Num frac);
-                ("guarantee", Prospector.Guarantee.to_json g);
-              ])
-          fractions)
-      deltas
-  in
-  (* The curve read in reverse: fix the target, let the ladder find the
-     budget. *)
-  let eps_target = 0.35 and delta_target = 1e-3 in
-  let both =
-    Sampling.Sample_set.of_values ~k
-      (Array.append plan_window.Sampling.Sample_set.values
-         cert_window.Sampling.Sample_set.values)
-  in
-  let esc =
-    Prospector.Robust_plan.plan_with_guarantee ~eps:eps_target
-      ~delta:delta_target
-      ~planner:(fun ~samples ~budget ->
-        Prospector.Lp_lf.plan topo cost samples ~budget ~k)
-      ~describe:(fun r ->
-        ( r.Prospector.Lp_lf.plan,
-          r.Prospector.Lp_lf.certify,
-          Some r.Prospector.Lp_lf.lp_objective ))
-      topo cost ~k both
-      ~budget:(0.15 *. anchor)
-  in
-  let chosen = esc.Prospector.Robust_plan.chosen in
-  Format.printf
-    "escalation to (eps = %g, delta = %g): attained=%b after %d raises, \
-     budget %.1f mJ, certified lower %.3f@."
-    eps_target delta_target esc.Prospector.Robust_plan.attained
-    esc.Prospector.Robust_plan.escalations chosen.Prospector.Robust_plan.budget
-    chosen.Prospector.Robust_plan.guarantee
-      .Prospector.Guarantee.certified_lower;
-  let record =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "bench-guarantee/1");
-        ("seed", Obs.Json.Num (float_of_int !seed));
-        ("quick", Obs.Json.Bool !quick);
-        ( "instance",
-          Obs.Json.Obj
-            [
-              ("n", Obs.Json.Num (float_of_int n));
-              ("k", Obs.Json.Num (float_of_int k));
-              ("window", Obs.Json.Num (float_of_int m));
-              ("full_collection_mj", Obs.Json.Num anchor);
-            ] );
-        ("curve", Obs.Json.List curve);
-        ( "escalation",
-          Obs.Json.Obj
-            [
-              ("target_eps", Obs.Json.Num eps_target);
-              ("target_delta", Obs.Json.Num delta_target);
-              ("attained", Obs.Json.Bool esc.Prospector.Robust_plan.attained);
-              ( "escalations",
-                Obs.Json.Num
-                  (float_of_int esc.Prospector.Robust_plan.escalations) );
-              ( "chosen_budget_mj",
-                Obs.Json.Num chosen.Prospector.Robust_plan.budget );
-              ( "guarantee",
-                Prospector.Guarantee.to_json
-                  chosen.Prospector.Robust_plan.guarantee );
-            ] );
-      ]
-  in
-  output_string oc (Obs.Json.to_string_pretty record);
-  close_out oc
-
-(* ---- churn recovery record (churn -> BENCH_CHURN.json) ----
-
-   What self-healing costs when a subtree dies: per-victim plan surgery
-   (warm-started, as the controller runs it) timed against the full
-   re-plan alternative, plus one controller campaign under a
-   crash-restart schedule for the end-to-end recovery energy and the
-   detection latency.  The energy figures are model-derived and
-   deterministic per seed, so the gate holds them exact; the surgery
-   latency is gated like any other solve time. *)
-
-let run_churn_bench path =
-  Format.printf "@.######## Churn recovery -> %s ########@." path;
-  let oc = open_out path in
-  let n = if !quick then 25 else 40 in
-  let k = if !quick then 5 else 8 in
-  let m = if !quick then 80 else 160 in
-  let rng = Rng.create (!seed * 104729) in
-  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
-  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
-  let topo = Sensor.Topology.build layout ~range in
-  let mica = Sensor.Mica2.default in
-  let cost = Sensor.Cost.of_mica2 topo mica in
-  let field =
-    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30. ~sigma_lo:1.
-      ~sigma_hi:4.
-  in
-  let samples = Sampling.Sample_set.draw rng field ~k ~count:m in
-  let anchor =
-    Prospector.Plan.expected_collection_mj topo cost
-      (Prospector.Proof_exec.min_bandwidth_plan topo)
-  in
-  let budget = 0.7 *. anchor in
-  let first = Prospector.Lp_lf.plan topo cost samples ~budget ~k in
-  let initial = first.Prospector.Lp_lf.plan in
-  let full_install = Prospector.Plan.install_mj topo mica initial in
-  let root = topo.Sensor.Topology.root in
-  let by_subtree_desc a b =
-    let sa = topo.Sensor.Topology.subtree_size.(a)
-    and sb = topo.Sensor.Topology.subtree_size.(b) in
-    if sa <> sb then Int.compare sb sa
-    else Int.compare a b (* earlier id first on ties *)
-  in
-  let victims =
-    Prospector.Plan.participants topo initial
-    |> List.filter (fun i -> i <> root)
-    |> List.sort by_subtree_desc
-    |> List.filteri (fun i _ -> i < if !quick then 4 else 8)
-  in
-  (* Per-victim surgery, warm-started from the undamaged solve exactly as
-     the controller replays it.  Repeat each surgery a few times and take
-     the per-victim median latency; the energies are identical across
-     reps (deterministic), so only the timing needs the repetition. *)
-  let reps = 5 in
-  let surgery_rows, repair_times =
-    List.fold_left
-      (fun (rows, times) v ->
-        let outcomes =
-          List.init reps (fun _ ->
-              Prospector.Repair.surgery
-                ?warm_start:first.Prospector.Lp_lf.basis ~delta:1e-4 topo cost
-                mica samples ~current:initial ~dead:[ v ] ~k ~budget)
-        in
-        match List.hd outcomes with
-        | Prospector.Repair.Repaired r ->
-            let ms =
-              median
-                (List.filter_map
-                   (function
-                     | Prospector.Repair.Repaired r ->
-                         Some (1000. *. r.Prospector.Repair.repair_s)
-                     | _ -> None)
-                   outcomes)
-            in
-            let repaired_install =
-              Prospector.Plan.install_mj topo mica r.Prospector.Repair.plan
-            in
-            Format.printf
-              "victim %2d (subtree %2d): repair %6.2f ms, delta install %.3f \
-               mJ vs %.3f mJ full re-install, floor %.3f@."
-              v
-              topo.Sensor.Topology.subtree_size.(v)
-              ms r.Prospector.Repair.delta_install_mj repaired_install
-              r.Prospector.Repair.guarantee.Prospector.Guarantee.certified_lower;
-            let row =
-              Obs.Json.Obj
-                [
-                  ("victim", Obs.Json.Num (float_of_int v));
-                  ( "subtree",
-                    Obs.Json.Num
-                      (float_of_int topo.Sensor.Topology.subtree_size.(v)) );
-                  ( "delta_install_mj",
-                    Obs.Json.Num r.Prospector.Repair.delta_install_mj );
-                  ("repaired_full_install", Obs.Json.Num repaired_install);
-                  ( "changed_nodes",
-                    Obs.Json.Num
-                      (float_of_int (List.length r.Prospector.Repair.changed))
-                  );
-                  ( "degraded_floor",
-                    Obs.Json.Num
-                      r.Prospector.Repair.guarantee
-                        .Prospector.Guarantee.certified_lower );
-                ]
-            in
-            (row :: rows, ms :: times)
-        | _ ->
-            (* Surfaced, not silently dropped: a victim whose repair was
-               refused would shrink the medians below. *)
-            Format.printf "victim %2d: repair refused — excluded@." v;
-            (rows, times))
-      ([], []) victims
-  in
-  let surgery_rows = List.rev surgery_rows in
-  let repair_ms = median repair_times in
-  (* One controller campaign: crash at epoch 2, restart at epoch 6, probe
-     sweep alongside the installed plan as in the chaos harness. *)
-  let epochs = 10 and down_epoch = 2 and up_epoch = 6 in
-  let victim = List.hd victims in
-  let ctrl =
-    Prospector.Repair.create ~confirm_after:2 ~clear_after:2 ~delta:1e-4 topo
-      cost mica ~initial ~k ~budget ()
-  in
-  let probe =
-    Prospector.Plan.make topo
-      (Array.mapi
-         (fun i size -> if i = root then 0 else Int.min size k)
-         topo.Sensor.Topology.subtree_size)
-  in
-  let erng = Rng.create ((!seed * 131) + 17) in
-  let first_repair = ref None and repaired_at = ref [] in
-  for e = 0 to epochs - 1 do
-    let base = Simnet.Fault.none ~n in
-    let fault =
-      if e >= down_epoch && e < up_epoch then
-        Simnet.Fault.with_crashes base [ (victim, 0., infinity) ]
-      else base
-    in
-    let readings = field.Sampling.Field.draw erng in
-    let run =
-      Prospector.Simnet_exec.collect topo mica
-        ~fault:(fault, Rng.create ((!seed * 37) + (2 * e)))
-        (Prospector.Repair.plan ctrl) ~k ~readings
-    in
-    let sweep =
-      Prospector.Simnet_exec.collect topo mica
-        ~fault:(fault, Rng.create ((!seed * 37) + (2 * e) + 1))
-        probe ~k ~readings
-    in
-    let dark =
-      List.sort_uniq Int.compare
-        (run.Prospector.Simnet_exec.dark @ sweep.Prospector.Simnet_exec.dark)
-    in
-    match Prospector.Repair.observe ctrl samples ~dark with
-    | Prospector.Repair.Repaired _ ->
-        if !first_repair = None then first_repair := Some e;
-        repaired_at := e :: !repaired_at
-    | _ -> ()
-  done;
-  let detection_epochs =
-    match !first_repair with
-    | Some e -> float_of_int (e - down_epoch)
-    | None -> -1. (* never: the victim participates, so a repair lands *)
-  in
-  let recovery_mj = Prospector.Repair.repair_energy_mj ctrl in
-  let full_replan_install_mj =
-    (* what the same campaign would have paid re-disseminating the whole
-       plan at every repair *)
-    float_of_int (Prospector.Repair.repairs ctrl) *. full_install
-  in
-  Format.printf
-    "campaign: %d repairs (epochs %s), detection %.0f epochs, recovery %.3f \
-     mJ vs %.3f mJ full re-installs@."
-    (Prospector.Repair.repairs ctrl)
-    (String.concat ","
-       (List.rev_map string_of_int !repaired_at))
-    detection_epochs recovery_mj full_replan_install_mj;
-  let record =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "bench-churn/1");
-        ("seed", Obs.Json.Num (float_of_int !seed));
-        ("quick", Obs.Json.Bool !quick);
-        ( "instance",
-          Obs.Json.Obj
-            [
-              ("n", Obs.Json.Num (float_of_int n));
-              ("k", Obs.Json.Num (float_of_int k));
-              ("window", Obs.Json.Num (float_of_int m));
-              ("budget_mj", Obs.Json.Num budget);
-              ("initial_full_install", Obs.Json.Num full_install);
-            ] );
-        ( "surgery",
-          Obs.Json.Obj
-            [
-              ("victims", Obs.Json.Num (float_of_int (List.length victims)));
-              ("repair_ms", Obs.Json.Num repair_ms);
-              ("rows", Obs.Json.List surgery_rows);
-            ] );
-        ( "campaign",
-          Obs.Json.Obj
-            [
-              ("schedule", Obs.Json.Str "crash-restart");
-              ("epochs", Obs.Json.Num (float_of_int epochs));
-              ("victim", Obs.Json.Num (float_of_int victim));
-              ( "repairs",
-                Obs.Json.Num (float_of_int (Prospector.Repair.repairs ctrl)) );
-              ("detection_epochs", Obs.Json.Num detection_epochs);
-              ("recovery_mj", Obs.Json.Num recovery_mj);
-              ("full_replan_install", Obs.Json.Num full_replan_install_mj);
-            ] );
-      ]
-  in
-  output_string oc (Obs.Json.to_string_pretty record);
-  output_char oc '\n';
-  close_out oc
-
-(* ---- Serving-layer benchmark (BENCH_SERVE.json) ----
-
-   Measures the three serving regimes of the multi-tenant layer over a
-   seeded query stream — cold (cache and pool disabled), exact cache hits,
-   and pooled-warm misses — plus the mixed hit-traffic workload the
-   acceptance criterion speaks about (3 exact repeats : 1 fresh perturbed
-   budget).  The domain-scaling rows use a deterministic greedy-makespan
-   model over the measured per-query cold solve times (this host may have
-   a single core — [host_cores] records it), while a real 4-domain fan-out
-   smoke run checks the parallel path end to end.  Latency keys are
-   tolerance-gated; the cache/pool tallies are exact-gated (the stream is
-   seeded, so a count drift is a behavior change, not noise). *)
-
-let run_serve_bench path =
-  Format.printf "@.######## Serving layer -> %s ########@." path;
-  let tenants = 3 in
-  let n = if !quick then 30 else 60 in
-  let k = if !quick then 4 else 6 in
-  let m = if !quick then 10 else 16 in
-  let q_per_tenant = if !quick then 6 else 10 in
-  let rng = Rng.create (!seed * 7919) in
-  let mica = Sensor.Mica2.default in
-  let mk_tenant () =
-    let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
-    let range = Sensor.Topology.min_connecting_range layout *. 1.2 in
-    let topo = Sensor.Topology.build layout ~range in
-    let cost = Sensor.Cost.of_mica2 topo mica in
-    let field =
-      Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
-        ~sigma_lo:1. ~sigma_hi:4.
-    in
-    let samples = Sampling.Sample_set.draw rng field ~k ~count:m in
-    let base =
-      0.55
-      *. Prospector.Plan.expected_collection_mj topo cost
-           (Prospector.Proof_exec.min_bandwidth_plan topo)
-    in
-    (topo, cost, samples, base)
-  in
-  let nets = List.init tenants (fun _ -> mk_tenant ()) in
-  let fresh_server ~cache ~pool ~domains =
-    let config =
-      {
-        Serve.Server.default_config with
-        cache_capacity = cache;
-        pool_capacity = pool;
-        batch = 16;
-        domains;
-      }
-    in
-    let t = Serve.Server.create ~config () in
-    List.iter
-      (fun (topo, cost, samples, _) ->
-        ignore (Serve.Server.register t topo cost samples))
-      nets;
-    t
-  in
-  (* budget ladders per tenant: generation [g] holds [q_per_tenant] fresh
-     budgets; the stream interleaves tenants so batches are multi-tenant *)
-  let budgets_of g =
-    List.concat
-      (List.init q_per_tenant (fun i ->
-           List.mapi
-             (fun t (_, _, _, base) ->
-               let step = ((g * q_per_tenant) + i) * 2 in
-               Serve.Server.query ~network:t ~k
-                 (base *. (1. +. (0.001 *. float_of_int step))))
-             nets))
-  in
-  let gen0 = Array.of_list (budgets_of 0) in
-  let gen1 = Array.of_list (budgets_of 1) in
-  let gen2 = Array.of_list (budgets_of 2) in
-  let served_exn label o =
-    match o with
-    | Serve.Server.Served r -> r
-    | Serve.Server.Refused reason ->
-        Printf.eprintf "serve bench: %s refused: %s\n%!" label reason;
-        exit 1
-  in
-  let timed_run label t queries =
-    let t0 = Unix.gettimeofday () in
-    let out = Serve.Server.run t queries in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let responses = Array.map (served_exn label) out in
-    (ms /. float_of_int (Array.length queries), responses)
-  in
-  (* cold: no cache, no pool — every query is a scratch solve *)
-  let cold_server = fresh_server ~cache:0 ~pool:0 ~domains:1 in
-  let cold_ms, cold_responses = timed_run "cold" cold_server gen0 in
-  let solve_times_ms =
-    Array.to_list (Array.map (fun r -> r.Serve.Server.solve_ms) cold_responses)
-  in
-  (* the serving configuration: prime with gen0, then measure the regimes *)
-  let main = fresh_server ~cache:256 ~pool:8 ~domains:1 in
-  let _, _ = timed_run "prime" main gen0 in
-  let cache_ms, cache_responses = timed_run "cached" main gen0 in
-  Array.iter
-    (fun (r : Serve.Server.response) ->
-      match r.source with
-      | Serve.Server.Cache_hit -> ()
-      | s ->
-          Printf.eprintf "serve bench: expected a cache hit, got %s\n%!"
-            (Serve.Server.source_to_string s);
-          exit 1)
-    cache_responses;
-  let pooled_ms, pooled_responses = timed_run "pooled" main gen1 in
-  let pooled_warm =
-    Array.for_all
-      (fun (r : Serve.Server.response) ->
-        match r.source with
-        | Serve.Server.Pool_warm | Serve.Server.Range_hit -> true
-        | _ -> false)
-      pooled_responses
-  in
-  (* hit traffic: per fresh perturbed budget, two exact repeats plus an
-     identical in-flight duplicate (same admission batch, so it coalesces
-     onto the fresh solve) — 3 solve-free serves per solve *)
-  let hit_stream =
-    Array.concat
-      (List.concat
-         (List.init (Array.length gen2) (fun i ->
-              [
-                [| gen0.(i mod Array.length gen0) |];
-                [| gen1.(i mod Array.length gen1) |];
-                [| gen2.(i) |];
-                [| gen2.(i) |];
-              ])))
-  in
-  let hit_ms, _ = timed_run "hit-traffic" main hit_stream in
-  let speedup_hit = cold_ms /. hit_ms in
-  (* domain scaling: deterministic greedy makespan over the measured cold
-     per-query solve times — each task goes to the least-loaded domain in
-     admission order (ties to the lowest slot), exactly the work the
-     atomic-cursor claim order distributes *)
-  let makespan ~domains =
-    let load = Array.make domains 0. in
-    List.iter
-      (fun ms ->
-        let slot = ref 0 in
-        for d = 1 to domains - 1 do
-          if load.(d) < load.(!slot) then slot := d
-        done;
-        load.(!slot) <- load.(!slot) +. ms)
-      solve_times_ms;
-    Array.fold_left Float.max 0. load
-  in
-  let scaling_domains = [ 1; 2; 4; 8 ] in
-  let makespans = List.map (fun d -> (d, makespan ~domains:d)) scaling_domains in
-  let speedup_1_to_4 =
-    List.assoc 1 makespans /. List.assoc 4 makespans
-  in
-  (* real fan-out smoke: the parallel path must serve the same stream *)
-  let par = fresh_server ~cache:256 ~pool:8 ~domains:4 in
-  let par_out = Serve.Server.run par gen0 in
-  Array.iter (fun o -> ignore (served_exn "parallel" o)) par_out;
-  let s = Serve.Server.stats main in
-  let cache_misses = s.range_hits + s.pool_hits + s.cold_misses in
-  let host_cores = Domain.recommended_domain_count () in
-  let pass_5x = speedup_hit >= 5. in
-  let pass_scaling = speedup_1_to_4 > 1.5 in
-  let num v = Obs.Json.Num v in
-  let int v = Obs.Json.Num (float_of_int v) in
-  let record =
-    Obs.Json.Obj
-      [
-        ("schema_version", Obs.Json.Str "bench-serve/1");
-        ("seed", int !seed);
-        ("quick", Obs.Json.Bool !quick);
-        ("host_cores", int host_cores);
-        ( "workload",
-          Obs.Json.Obj
-            [
-              ("tenants", int tenants);
-              ("n", int n);
-              ("k", int k);
-              ("window", int m);
-              ("queries_per_phase", int (Array.length gen0));
-            ] );
-        ( "phases",
-          Obs.Json.Obj
-            [
-              ("cold", Obs.Json.Obj [ ("ms_per_query", num cold_ms) ]);
-              ("cached", Obs.Json.Obj [ ("cache_hit_ms", num cache_ms) ]);
-              ( "pooled",
-                Obs.Json.Obj
-                  [
-                    ("pooled_warm_ms", num pooled_ms);
-                    ("all_warm", Obs.Json.Bool pooled_warm);
-                  ] );
-              ( "hit_traffic",
-                Obs.Json.Obj
-                  [
-                    ("ms_per_query", num hit_ms);
-                    ("speedup_vs_cold", num speedup_hit);
-                    ("pass_5x", Obs.Json.Bool pass_5x);
-                  ] );
-            ] );
-        ( "scaling",
-          Obs.Json.Obj
-            [
-              ( "model",
-                Obs.Json.Str
-                  "greedy makespan over measured per-query cold solve times" );
-              ( "rows",
-                Obs.Json.List
-                  (List.map
-                     (fun (d, mk) ->
-                       Obs.Json.Obj
-                         [ ("domains", int d); ("makespan_ms", num mk) ])
-                     makespans) );
-              ("speedup_1_to_4", num speedup_1_to_4);
-              ("pass_1_5x", Obs.Json.Bool pass_scaling);
-            ] );
-        ( "counters",
-          Obs.Json.Obj
-            [
-              ("cache_hits", int s.cache_hits);
-              ("cache_misses", int cache_misses);
-              ("range_hits", int s.range_hits);
-              ("pool_hits", int s.pool_hits);
-              ("cold_misses", int s.cold_misses);
-              ("coalesced", int s.coalesced);
-              ("evictions", int s.evictions);
-              ("refused", int s.refused);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string_pretty record);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf
-    "cold %.3f ms/q | cache hit %.5f ms/q | pooled warm %.3f ms/q@." cold_ms
-    cache_ms pooled_ms;
-  Format.printf
-    "hit traffic %.4f ms/q -> %.1fx vs cold (need >= 5x) | scaling 1->4: \
-     %.2fx (need > 1.5x, modeled; host has %d core(s))@."
-    hit_ms speedup_hit speedup_1_to_4 host_cores;
-  if not (pass_5x && pass_scaling) then begin
-    Printf.eprintf "serve bench: acceptance thresholds not met\n%!";
-    exit 1
-  end
 
 let all_experiments =
   [
@@ -1187,26 +147,15 @@ let all_experiments =
     ("lifetime", `Fig Experiments.Lifetime_exp.run);
     ("modelgen", `Fig Experiments.Model_sampling.run);
     ("lptime", `Plain run_lp_timing);
-    ("certify", `Plain (fun () -> run_certify_bench (out_or "BENCH_PR3.json")));
-    ( "telemetry",
-      `Plain (fun () -> run_telemetry_bench (out_or "BENCH_PR4.json")) );
-    ( "guarantee",
-      `Plain (fun () -> run_guarantee_bench (out_or "BENCH_GUARANTEE.json")) );
-    ("churn", `Plain (fun () -> run_churn_bench (out_or "BENCH_CHURN.json")));
-    ("serve", `Plain (fun () -> run_serve_bench (out_or "BENCH_SERVE.json")));
+    ("guarantee", `Fig Experiments.Guarantee_curve.run);
+    ("churn", `Fig Experiments.Churn_recovery.run);
   ]
 
 let usage () =
   print_endline
-    "usage: main.exe [--quick] [--seed N] [--csv DIR] [--json PATH] [--out \
-     PATH] [experiment...]";
+    "usage: main.exe [--quick] [--seed N] [--csv DIR] [experiment...]";
   Printf.printf "experiments: %s\n"
     (String.concat " " (List.map fst all_experiments));
-  print_endline
-    "--json PATH writes machine-readable LP solve-time and warm-start\n\
-     results to PATH; with no experiment names it runs only that pass.\n\
-     --out PATH overrides where the record-writing experiments (certify,\n\
-     telemetry, guarantee, churn, serve) write their JSON.";
   exit 1
 
 let () =
@@ -1218,12 +167,6 @@ let () =
         parse rest
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
-        parse rest
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        parse rest
-    | "--out" :: path :: rest ->
-        out_path := Some path;
         parse rest
     | "--seed" :: v :: rest ->
         (match int_of_string_opt v with
@@ -1243,10 +186,9 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let to_run =
-    match (List.rev !selected, !json_path) with
-    | [], Some _ -> []  (* --json alone: just the perf record *)
-    | [], None -> List.map fst all_experiments
-    | names, _ -> names
+    match List.rev !selected with
+    | [] -> List.map fst all_experiments
+    | names -> names
   in
   let t0 = Unix.gettimeofday () in
   List.iter
@@ -1255,6 +197,5 @@ let () =
       | `Plain f -> f ()
       | `Fig runner -> run_figures name runner)
     to_run;
-  Option.iter run_json_bench !json_path;
   Format.printf "@.All requested experiments completed in %.1fs.@."
     (Unix.gettimeofday () -. t0)

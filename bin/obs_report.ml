@@ -1,7 +1,7 @@
 (* Pretty-print an exported telemetry trace (JSON-lines, as written by
-   Obs.Trace.to_file / the bench telemetry subcommand): one aggregate row
-   per (kind, name) with counts, wall-clock totals, summed attributes and
-   per-kind latency percentiles.
+   Obs.Trace.to_file): one aggregate row per (kind, name) with counts,
+   wall-clock totals, summed attributes and per-kind latency
+   percentiles.
 
    usage: obs_report TRACE.jsonl *)
 
@@ -10,7 +10,10 @@ let () =
   | [ _; path ] -> (
       match Obs.Trace.read_jsonl path with
       | Error msg ->
-          Printf.eprintf "obs_report: %s: %s\n" path msg;
+          (* I/O errors already name the file; parse errors do not. *)
+          if String.starts_with ~prefix:path msg then
+            Printf.eprintf "obs_report: %s\n" msg
+          else Printf.eprintf "obs_report: %s: %s\n" path msg;
           exit 2
       | Ok events ->
           Printf.printf "%s: %d events\n" path (List.length events);

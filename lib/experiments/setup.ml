@@ -29,6 +29,17 @@ let uniform_gaussian ~seed ~n ~k ~n_samples ~n_test ?(mean_lo = 20.)
   in
   finish rng layout topo field ~k ~n_samples ~n_test
 
+let lp_instance ~seed ~n ~n_samples ~k =
+  let rng = Rng.create seed in
+  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
+  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
+  let topo = Sensor.Topology.build layout ~range in
+  let field =
+    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
+      ~sigma_lo:1. ~sigma_hi:4.
+  in
+  finish rng layout topo field ~k ~n_samples ~n_test:0
+
 let contention ~seed ~n_zones ~per_zone ~background ~k ~n_samples ~n_test
     ?(exceed_prob = 0.4) () =
   let rng = Rng.create seed in

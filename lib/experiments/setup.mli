@@ -27,6 +27,13 @@ val uniform_gaussian :
     root at the center, independent per-node Gaussians with means and
     deviations from small ranges (defaults: means 20-30, sigmas 1-4). *)
 
+val lp_instance : seed:int -> n:int -> n_samples:int -> k:int -> t
+(** The planner-LP instance family of the "Other Results" solve times:
+    [n] nodes uniform in a 200 m square, radio range 1.25x the minimum
+    connecting one, per-node Gaussians (means 20-30, sigmas 1-4) and
+    [n_samples] training samples; no test epochs.  The guarantee
+    experiment and the LP iteration goldens build on it too. *)
+
 val contention :
   seed:int ->
   n_zones:int ->

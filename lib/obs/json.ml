@@ -1,9 +1,9 @@
 (* Minimal JSON reader/writer.  The repository has no JSON dependency and
-   cannot grow one offline, yet three subsystems need the format: the
-   trace exporter (JSON-lines), the bench gate (parsing committed
-   BENCH_*.json baselines) and the telemetry bench record.  This covers
-   the full JSON grammar; numbers are carried as OCaml floats, which is
-   exact for every integer the instrumentation emits (|n| < 2^53). *)
+   cannot grow one offline, yet the trace exporter (JSON-lines), the
+   sweep summaries and the benchmark's run records need the format.  This
+   covers the full JSON grammar; numbers are carried as OCaml floats,
+   which is exact for every integer the instrumentation emits
+   (|n| < 2^53). *)
 
 type t =
   | Null
@@ -285,14 +285,13 @@ let parse s =
       else Ok v
   | exception Parse_error msg -> Error msg
 
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> raise (Parse_error msg)
-
 let of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> parse (really_input_string ic (in_channel_length ic)))
 
 (* ---- accessors ---- *)
 

@@ -1,7 +1,7 @@
 (** Minimal self-contained JSON reader/writer.
 
-    Backs the {!Trace} JSON-lines exporter, the telemetry bench record and
-    the bench-regression gate; exists because the build environment offers
+    Backs the {!Trace} JSON-lines exporter, the sweep summaries and the
+    benchmark's run records; exists because the build environment offers
     no JSON library.  Numbers are OCaml floats (exact for every integer up
     to 2{^53}, which covers all emitted counters). *)
 
@@ -12,8 +12,6 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
-
-exception Parse_error of string
 
 val to_string : t -> string
 (** Compact single-line rendering (the JSON-lines form). *)
@@ -27,11 +25,8 @@ val to_string_pretty : t -> string
 
 val parse : string -> (t, string) result
 
-val parse_exn : string -> t
-(** @raise Parse_error on malformed input. *)
-
 val of_file : string -> (t, string) result
-(** Parse a whole file.  I/O exceptions propagate. *)
+(** Parse a whole file; [Error] when it cannot be opened or parsed. *)
 
 val member : string -> t -> t option
 (** Object member lookup; [None] on non-objects and absent keys. *)

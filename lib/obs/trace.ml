@@ -147,25 +147,27 @@ let to_file path evs =
     (fun () -> write_jsonl oc evs)
 
 let read_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go acc (lineno + 1)
-        | line -> (
-            match Json.parse line with
-            | Error msg ->
-                Error (Printf.sprintf "line %d: %s" lineno msg)
-            | Ok j -> (
-                match event_of_json j with
-                | Some e -> go (e :: acc) (lineno + 1)
-                | None ->
-                    Error (Printf.sprintf "line %d: not a trace event" lineno)))
-      in
-      go [] 1)
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let rec go acc lineno =
+            match input_line ic with
+            | exception End_of_file -> Ok (List.rev acc)
+            | "" -> go acc (lineno + 1)
+            | line -> (
+                match Json.parse line with
+                | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+                | Ok j -> (
+                    match event_of_json j with
+                    | Some e -> go (e :: acc) (lineno + 1)
+                    | None ->
+                        Error
+                          (Printf.sprintf "line %d: not a trace event" lineno)))
+          in
+          go [] 1)
 
 (* ---- CSV ----
 

@@ -70,9 +70,10 @@ val to_file : string -> event list -> unit
 (** JSON-lines: one event object per line. *)
 
 val read_jsonl : string -> (event list, string) result
-(** Parse a JSON-lines trace file back; blank lines are skipped.  Whole
-    floats come back as [Int] attrs (JSON has one number type); use
-    {!number} to consume numeric attrs uniformly. *)
+(** Parse a JSON-lines trace file back; blank lines are skipped, and a
+    file that cannot be opened is an [Error].  Whole floats come back as
+    [Int] attrs (JSON has one number type); use {!number} to consume
+    numeric attrs uniformly. *)
 
 val write_csv : out_channel -> event list -> unit
 

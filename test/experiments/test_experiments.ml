@@ -1,5 +1,9 @@
 (* Tests for the experiment scaffolding: series formatting, workload
-   setups, and the planner-evaluation glue. *)
+   setups, and the planner-evaluation glue, plus exact goldens at the
+   bench's default seed for the numbers that repeat bit for bit on any
+   host: simplex pivot counts and the churn experiment's energies. *)
+
+let bench_seed = 20060403
 
 let test_series_width_checked () =
   Alcotest.check_raises "ragged rows rejected"
@@ -112,6 +116,89 @@ let test_replan_samples_swaps () =
   Alcotest.(check int) "topology untouched" 15
     restricted.Experiments.Setup.topo.Sensor.Topology.n
 
+(* Simplex pivots on the "Other Results" LP instances at 1.2x a full
+   collection, and a warm re-plan of the larger one at 1.05x that budget.
+   Exact: one pivot more or less is a solver change, not noise. *)
+let test_lp_iteration_golden () =
+  let instance (n, m, k) =
+    let s =
+      Experiments.Setup.lp_instance ~seed:bench_seed ~n ~n_samples:m ~k
+    in
+    let full =
+      Prospector.Plan.expected_collection_mj s.Experiments.Setup.topo
+        s.Experiments.Setup.cost
+        (Prospector.Proof_exec.min_bandwidth_plan s.Experiments.Setup.topo)
+    in
+    (s, 1.2 *. full)
+  in
+  let iterations = function
+    | Some st -> st.Lp.Revised.iterations
+    | None -> Alcotest.fail "no simplex stats"
+  in
+  let lp_lf ?warm_start (s : Experiments.Setup.t) budget =
+    Prospector.Lp_lf.plan ?warm_start s.topo s.cost s.samples ~budget ~k:s.k
+  in
+  List.iter
+    (fun (((n, m, k) as size), no_lf, lf) ->
+      let s, budget = instance size in
+      let tag = Printf.sprintf " n=%d samples=%d k=%d" n m k in
+      Alcotest.(check int) ("lp-lf" ^ tag) no_lf
+        (iterations
+           (Prospector.Lp_no_lf.plan s.topo s.cost s.samples ~budget)
+             .Prospector.Lp_no_lf.lp_stats);
+      Alcotest.(check int) ("lp+lf" ^ tag) lf
+        (iterations (lp_lf s budget).Prospector.Lp_lf.lp_stats))
+    [ ((50, 15, 10), 58, 245); ((100, 30, 20), 132, 812) ];
+  let s, budget = instance (100, 30, 20) in
+  let first = lp_lf s budget in
+  let cold = lp_lf s (1.05 *. budget) in
+  let warm =
+    lp_lf ?warm_start:first.Prospector.Lp_lf.basis s (1.05 *. budget)
+  in
+  Alcotest.(check int) "cold re-plan" 812
+    (iterations cold.Prospector.Lp_lf.lp_stats);
+  Alcotest.(check int) "warm re-plan" 0
+    (iterations warm.Prospector.Lp_lf.lp_stats);
+  let c = cold.Prospector.Lp_lf.lp_objective
+  and w = warm.Prospector.Lp_lf.lp_objective in
+  Alcotest.(check bool)
+    (Printf.sprintf "same optimum (%.17g vs %.17g)" c w)
+    true
+    (Float.abs (c -. w) <= 1e-9 *. Float.abs c)
+
+(* The churn experiment at full size: victims in largest-subtree-first
+   order, their delta-install energies, and the crash-restart campaign's
+   repair count and recovery energy, all to 1e-9 mJ. *)
+let test_churn_golden () =
+  let mj name want got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.17g mJ vs golden %.17g" name got want)
+      true
+      (Float.abs (got -. want) <= 1e-9)
+  in
+  match Experiments.Churn_recovery.run ~seed:bench_seed () with
+  | [ surgery; campaign ] -> (
+      Alcotest.(check int) "eight victims" 8 (List.length surgery.rows);
+      List.iter2
+        (fun (victim, delta_mj) row ->
+          match row with
+          | [ v; _; delta; _; _; _ ] ->
+              Alcotest.(check (float 0.)) "victim" victim v;
+              mj (Printf.sprintf "victim %g delta install" victim) delta_mj
+                delta
+          | _ -> Alcotest.fail "expected six columns")
+        [
+          (20., 6.2325); (23., 7.27125); (37., 4.155); (16., 4.155);
+          (30., 4.155); (13., 8.31); (17., 6.2325); (21., 6.2325);
+        ]
+        surgery.rows;
+      match campaign.rows with
+      | [ [ repairs; _; recovery_mj; _ ] ] ->
+          Alcotest.(check (float 0.)) "campaign repairs" 2. repairs;
+          mj "campaign recovery" 13.50375 recovery_mj
+      | _ -> Alcotest.fail "expected one four-column campaign row")
+  | _ -> Alcotest.fail "expected two series"
+
 (* The Section 4.4 ablation at seed 42, quick size: columns plan,
    energy_mJ, accuracy_%, reroutes/run.  Detours draw one number per
    original unicast, so reroutes must match exactly; a drift in the draw
@@ -161,6 +248,8 @@ let () =
           Alcotest.test_case "uniform gaussian" `Quick test_uniform_setup_shape;
           Alcotest.test_case "contention zones" `Quick test_contention_setup_zones;
           Alcotest.test_case "intel lab" `Quick test_intel_setup_connected;
+          Alcotest.test_case "lp instance pivot golden" `Quick
+            test_lp_iteration_golden;
         ] );
       ( "planner_eval",
         [
@@ -174,5 +263,6 @@ let () =
         [
           Alcotest.test_case "failure ablation golden" `Quick
             test_failures_golden;
+          Alcotest.test_case "churn recovery golden" `Quick test_churn_golden;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Unit tests for the lib/obs telemetry stack: gating semantics of the
    metrics registry, histogram percentile/merge math, trace round-trips
-   through the JSON-lines exporter, the bench gate's comparison rules, and
-   an end-to-end check that a lossy simnet run's trace agrees with the
+   through the JSON-lines exporter, reader errors as results, and an
+   end-to-end check that a lossy simnet run's trace agrees with the
    engine's own energy ledger. *)
 
 let cleanup () =
@@ -210,80 +210,18 @@ let test_csv_export () =
       Alcotest.(check string) "header" "kind,name,start_s,dur_s,attrs"
         (List.hd lines))
 
-(* ---- gate ---- *)
-
-let gate_record ~ms ~iters =
-  Obs.Json.Obj
-    [
-      ( "lp_solve_times",
-        Obs.Json.List
-          [
-            Obs.Json.Obj
-              [
-                ("name", Obs.Json.Str "lp+lf");
-                ("ms_per_solve", Obs.Json.Num ms);
-                ("iterations", Obs.Json.Num iters);
-              ];
-          ] );
-      ( "warm_start_replan",
-        Obs.Json.Obj
-          [
-            ("cold_ms", Obs.Json.Num ms);
-            ("warm_iterations", Obs.Json.Num 0.);
-            ("objective_abs_gap", Obs.Json.Num 1e-9);
-          ] );
-      ( "pr1_seed_baseline",
-        Obs.Json.Obj [ ("ms_per_solve", Obs.Json.Num 999.) ] );
-    ]
-
-let test_gate_flatten_classify () =
-  let leaves = Obs.Gate.flatten (gate_record ~ms:10. ~iters:50.) in
-  Alcotest.(check (option (float 0.)))
-    "array path" (Some 10.)
-    (List.assoc_opt "lp_solve_times[0].ms_per_solve" leaves);
-  Alcotest.(check bool)
-    "ms_per_solve gated as time" true
-    (Obs.Gate.classify "lp_solve_times[0].ms_per_solve"
-    = Some Obs.Gate.Time_ms);
-  Alcotest.(check bool)
-    "warm_iterations gated as iterations" true
-    (Obs.Gate.classify "warm_start_replan.warm_iterations"
-    = Some Obs.Gate.Iterations);
-  Alcotest.(check bool)
-    "frozen block never gated" true
-    (Obs.Gate.classify "pr1_seed_baseline.ms_per_solve" = None);
-  Alcotest.(check bool)
-    "ungated numeric leaf" true
-    (Obs.Gate.classify "warm_start_replan.objective_abs_gap" = None)
-
-let test_gate_verdicts () =
-  let baseline = gate_record ~ms:20. ~iters:100. in
-  let pass fresh =
-    (Obs.Gate.compare_values ~baseline ~fresh ()).Obs.Gate.pass
+(* A missing file is an [Error] from both result-returning readers, never
+   an escaping [Sys_error]. *)
+let test_missing_file_is_error () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "obs-no-such-dir/x"
   in
-  Alcotest.(check bool) "identity passes" true (pass baseline);
-  Alcotest.(check bool) "within tolerance" true
-    (pass (gate_record ~ms:25. ~iters:120.));
-  Alcotest.(check bool) "iteration slack covers zero baselines" true
-    (pass (gate_record ~ms:20. ~iters:101.));
-  Alcotest.(check bool) "2x slower fails" false
-    (pass (gate_record ~ms:40. ~iters:100.));
-  Alcotest.(check bool) "2x iterations fails" false
-    (pass (gate_record ~ms:20. ~iters:200.));
-  Alcotest.(check bool) "2x faster fails too (stale baseline)" false
-    (pass (gate_record ~ms:9. ~iters:100.));
-  Alcotest.(check bool) "missing gated key fails" false
-    (pass (Obs.Json.Obj [ ("unrelated", Obs.Json.Num 1.) ]));
-  (* Sub-millisecond times are noise: skipped, reported, never failing. *)
-  let v =
-    Obs.Gate.compare_values
-      ~baseline:(gate_record ~ms:0.2 ~iters:100.)
-      ~fresh:(gate_record ~ms:0.9 ~iters:100.)
-      ()
-  in
-  Alcotest.(check bool) "sub-ms skipped" true v.Obs.Gate.pass;
-  Alcotest.(check bool) "skips are visible in the verdict" true
-    (List.exists (fun o -> o.Obs.Gate.skipped) v.Obs.Gate.outcomes)
+  Alcotest.(check bool)
+    "read_jsonl" true
+    (Result.is_error (Obs.Trace.read_jsonl (path ^ ".jsonl")));
+  Alcotest.(check bool)
+    "Json.of_file" true
+    (Result.is_error (Obs.Json.of_file (path ^ ".json")))
 
 (* ---- end to end: simnet trace vs engine ledger ---- *)
 
@@ -369,12 +307,8 @@ let () =
           Alcotest.test_case "jsonl round trip" `Quick
             (with_clean test_jsonl_roundtrip);
           Alcotest.test_case "csv export" `Quick (with_clean test_csv_export);
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "flatten and classify" `Quick
-            (with_clean test_gate_flatten_classify);
-          Alcotest.test_case "verdicts" `Quick (with_clean test_gate_verdicts);
+          Alcotest.test_case "missing file is an error" `Quick
+            (with_clean test_missing_file_is_error);
         ] );
       ( "simnet",
         [

@@ -215,6 +215,78 @@ let test_determinism_across_domains () =
   let _, _, s = r8 in
   Alcotest.(check bool) "stream exercised the cache" true (s.cache_hits >= 3)
 
+(* Exact counters on a seeded multi-tenant stream: three tenants (n=60,
+   k=6, 16-sample windows) at seed 20060403 on one server.  Prime it with
+   a budget generation, re-send that generation (every query a cache
+   hit), serve a fresh generation (pool-warm), then hit traffic: per
+   fresh budget two exact repeats plus an in-flight duplicate that
+   coalesces.  A 4-domain server must serve the first generation too. *)
+let test_seeded_stream_counters () =
+  let seed = 20060403 and n = 60 and k = 6 and per_tenant = 10 in
+  let rng = Rng.create (seed * 7919) in
+  let tenant () =
+    let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
+    let range = Sensor.Topology.min_connecting_range layout *. 1.2 in
+    let topo = Sensor.Topology.build layout ~range in
+    let cost = Sensor.Cost.of_mica2 topo mica in
+    let field =
+      Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
+        ~sigma_lo:1. ~sigma_hi:4.
+    in
+    let samples = Sampling.Sample_set.draw rng field ~k ~count:16 in
+    let full_mj =
+      Prospector.Plan.expected_collection_mj topo cost
+        (Prospector.Proof_exec.min_bandwidth_plan topo)
+    in
+    { topo; cost; samples; full_mj }
+  in
+  let envs = List.init 3 (fun _ -> tenant ()) in
+  (* generation [g]: [per_tenant] fresh budgets per tenant, interleaved so
+     every batch is multi-tenant *)
+  let generation g =
+    Array.of_list
+      (List.concat
+         (List.init per_tenant (fun i ->
+              List.mapi
+                (fun t e ->
+                  let step = ((g * per_tenant) + i) * 2 in
+                  Serve.Server.query ~network:t ~k
+                    (0.55 *. e.full_mj *. (1. +. (0.001 *. float_of_int step))))
+                envs)))
+  in
+  let gen0 = generation 0 and gen1 = generation 1 and gen2 = generation 2 in
+  let server domains =
+    server_of ~config:(config ~cache:256 ~pool:8 ~batch:16 ~domains ()) envs
+  in
+  let t = server 1 in
+  ignore (Array.map served (Serve.Server.run t gen0));
+  Array.iter
+    (fun o -> Alcotest.(check string) "re-sent query" "cache" (source o))
+    (Serve.Server.run t gen0);
+  ignore (Array.map served (Serve.Server.run t gen1));
+  let hit_traffic =
+    Array.concat
+      (List.init (Array.length gen2) (fun i ->
+           [| gen0.(i); gen1.(i); gen2.(i); gen2.(i) |]))
+  in
+  ignore (Array.map served (Serve.Server.run t hit_traffic));
+  let s = Serve.Server.stats t in
+  Alcotest.(check (list int))
+    "cache_hits, cache_misses, range_hits, pool_hits, cold_misses, \
+     coalesced, evictions, refused"
+    [ 90; 90; 0; 74; 16; 30; 0; 0 ]
+    [
+      s.cache_hits;
+      s.range_hits + s.pool_hits + s.cold_misses;
+      s.range_hits;
+      s.pool_hits;
+      s.cold_misses;
+      s.coalesced;
+      s.evictions;
+      s.refused;
+    ];
+  ignore (Array.map served (Serve.Server.run (server 4) gen0))
+
 (* ------------------------------------------------------------------ *)
 
 let test_certified_serving_property () =
@@ -426,6 +498,8 @@ let () =
           Alcotest.test_case "invalid queries refused" `Quick
             test_invalid_queries;
           Alcotest.test_case "window rotation" `Quick test_window_rotation;
+          Alcotest.test_case "seeded stream counters" `Quick
+            test_seeded_stream_counters;
         ] );
       ( "determinism",
         [
