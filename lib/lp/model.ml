@@ -133,7 +133,6 @@ let value sol v = sol.values.(v)
 let to_problem t =
   let n = t.nvars and m = t.nrows in
   let f = finalize t in
-  let rows = Array.of_list (List.rev t.rows) in
   let lower = Array.make (n + m) 0. and upper = Array.make (n + m) 0. in
   Array.blit f.f_lowers 0 lower 0 n;
   Array.blit f.f_uppers 0 upper 0 n;
@@ -142,18 +141,45 @@ let to_problem t =
   for j = 0 to n - 1 do
     obj.(j) <- sign *. t.objs.(j)
   done;
-  (* One slack column per row: A x + s = rhs. *)
-  let col_entries = Array.make (n + m) [] in
-  let rhs = Array.make m 0. in
-  let hint = Array.make m (-1) in
-  Array.iteri
-    (fun i row ->
-      List.iter
-        (fun (c, v) -> col_entries.(v) <- (i, c) :: col_entries.(v))
-        row.terms;
+  (* One slack column per row: A x + s = rhs.  Each structural column is
+     built straight into sorted arrays with [Sparse_vec.of_assoc]'s
+     semantics: exact zeros (and NaN) skipped, repeated terms summed, and
+     entries of magnitude at most [Sparse_vec.drop_tol] dropped after
+     summing. *)
+  let rhs = Array.make m 0. and hint = Array.make m (-1) in
+  let len = Array.make n 0 in
+  List.iter
+    (fun row ->
+      List.iter (fun (c, v) -> if Float.abs c > 0. then len.(v) <- len.(v) + 1) row.terms)
+    t.rows;
+  let idx = Array.map (fun k -> Array.make k 0) len
+  and vals = Array.map (fun k -> Array.make k 0.) len in
+  (* [t.rows] is newest first, so rows arrive in descending index order
+     and each column fills from its end; [next.(v)] is the first filled
+     slot.  Within a row, terms are visited last to first, so a repeated
+     variable accumulates in the order the sorted association list would
+     sum it. *)
+  let next = Array.copy len in
+  let rec add_terms i = function
+    | [] -> ()
+    | (c, v) :: rest ->
+        add_terms i rest;
+        if Float.abs c > 0. then begin
+          let k = next.(v) in
+          if k < len.(v) && idx.(v).(k) = i then vals.(v).(k) <- vals.(v).(k) +. c
+          else begin
+            idx.(v).(k - 1) <- i;
+            vals.(v).(k - 1) <- c;
+            next.(v) <- k - 1
+          end
+        end
+  in
+  List.iteri
+    (fun k row ->
+      let i = m - 1 - k in
+      add_terms i row.terms;
       rhs.(i) <- row.rhs;
       let s = n + i in
-      col_entries.(s) <- [ (i, 1.) ];
       hint.(i) <- s;
       match row.sense with
       | Le ->
@@ -165,11 +191,28 @@ let to_problem t =
       | Eq ->
           lower.(s) <- 0.;
           upper.(s) <- 0.)
-    rows;
+    t.rows;
+  let structural v =
+    let ix = idx.(v) and xs = vals.(v) in
+    let kept = ref 0 in
+    for p = next.(v) to len.(v) - 1 do
+      if Float.abs xs.(p) > Sparse_vec.drop_tol then begin
+        ix.(!kept) <- ix.(p);
+        xs.(!kept) <- xs.(p);
+        incr kept
+      end
+    done;
+    if !kept = Array.length ix then Sparse_vec.of_arrays ix xs
+    else Sparse_vec.of_arrays (Array.sub ix 0 !kept) (Array.sub xs 0 !kept)
+  in
+  let cols =
+    Array.init (n + m) (fun j ->
+        if j < n then structural j else Sparse_vec.of_arrays [| j - n |] [| 1. |])
+  in
   {
     Problem.nrows = m;
     ncols = n + m;
-    cols = Array.map Sparse_vec.of_assoc col_entries;
+    cols;
     obj;
     lower;
     upper;
@@ -249,11 +292,12 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
    away: finite lower bounds by shifting, finite upper bounds by extra rows,
    free variables by splitting into a difference of non-negatives. *)
 
-let solve_dense ?max_pivots t =
-  (* The revised path validates inside [Revised.solve]; the dense lowering
-     bypasses it, so validate the lowered form here for the same guarantee
-     (descriptive rejection of NaN/inf data instead of a garbage tableau). *)
-  Problem.validate (to_problem t);
+(* [prob] is [to_problem t]: the revised path validates inside
+   [Revised.solve]; the dense lowering bypasses it, so the lowered form is
+   validated here for the same guarantee (descriptive rejection of NaN/inf
+   data instead of a garbage tableau). *)
+let solve_dense_lowered ?max_pivots t prob =
+  Problem.validate prob;
   let n = t.nvars in
   let fz = finalize t in
   let lower = fz.f_lowers and upper = fz.f_uppers in
@@ -346,7 +390,7 @@ let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
         solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
       in
       sol
-  | `Dense -> solve_dense t
+  | `Dense -> solve_dense_lowered t (to_problem t)
 
 (* ---- certified solves ---- *)
 
@@ -389,11 +433,11 @@ let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
   (sol, report)
 
 let solve_dense_certified ?max_pivots t =
-  let sol = solve_dense ?max_pivots t in
+  let prob = to_problem t in
+  let sol = solve_dense_lowered ?max_pivots t prob in
   let report =
     match sol.status with
     | Optimal ->
-        let prob = to_problem t in
         (* The dense lowering discards duals, so only primal feasibility is
            independently checkable.  Reconstruct the slack block: row [i]'s
            slack is its residual [rhs_i - (A x)_i]. *)

@@ -9,61 +9,57 @@ type t = {
   basis_hint : int array option;
 }
 
+(* Messages are formatted only on the failing path: [fail] takes the
+   format and its arguments and raises, so a passing check costs just its
+   test (validation runs on every solve). *)
+let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Problem: " ^ msg)) fmt
+
 let validate ?(strict = false) t =
-  let check c msg = if not c then invalid_arg ("Problem: " ^ msg) in
-  let checkf c fmt = Printf.ksprintf (check c) fmt in
-  check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
-  check (Array.length t.cols = t.ncols) "cols length";
-  check (Array.length t.obj = t.ncols) "obj length";
-  check (Array.length t.lower = t.ncols) "lower length";
-  check (Array.length t.upper = t.ncols) "upper length";
-  check (Array.length t.rhs = t.nrows) "rhs length";
-  Array.iteri
-    (fun j col ->
-      Sparse_vec.iter
-        (fun i a ->
-          if i >= t.nrows then
-            invalid_arg
-              (Printf.sprintf "Problem: column %d has row index %d >= nrows %d"
-                 j i t.nrows);
-          if not (Float.is_finite a) then
-            invalid_arg
-              (Printf.sprintf
-                 "Problem: column %d has non-finite coefficient %g at row %d" j
-                 a i))
-        col;
-      if strict && Sparse_vec.nnz col = 0 then
-        invalid_arg
-          (Printf.sprintf
-             "Problem: column %d is empty (appears in no constraint)" j))
-    t.cols;
+  if not (t.nrows >= 0 && t.ncols >= 0) then fail "negative dimensions";
+  if Array.length t.cols <> t.ncols then fail "cols length";
+  if Array.length t.obj <> t.ncols then fail "obj length";
+  if Array.length t.lower <> t.ncols then fail "lower length";
+  if Array.length t.upper <> t.ncols then fail "upper length";
+  if Array.length t.rhs <> t.nrows then fail "rhs length";
   for j = 0 to t.ncols - 1 do
-    checkf
-      (not (Float.is_nan t.lower.(j) || Float.is_nan t.upper.(j)))
-      "NaN bound on column %d" j;
-    checkf
-      (t.lower.(j) <= t.upper.(j))
-      "column %d has lower bound %g > upper bound %g" j t.lower.(j) t.upper.(j);
-    checkf (t.lower.(j) < infinity) "column %d has lower bound +inf" j;
-    checkf (t.upper.(j) > neg_infinity) "column %d has upper bound -inf" j;
-    checkf (Float.is_finite t.obj.(j))
-      "column %d has non-finite objective coefficient %g" j t.obj.(j)
+    let col = t.cols.(j) in
+    let idx = col.Sparse_vec.idx and value = col.Sparse_vec.value in
+    for p = 0 to Array.length idx - 1 do
+      let i = idx.(p) and a = value.(p) in
+      if i >= t.nrows then
+        fail "column %d has row index %d >= nrows %d" j i t.nrows;
+      if not (Float.is_finite a) then
+        fail "column %d has non-finite coefficient %g at row %d" j a i
+    done;
+    if strict && Array.length idx = 0 then
+      fail "column %d is empty (appears in no constraint)" j
+  done;
+  for j = 0 to t.ncols - 1 do
+    let lo = t.lower.(j) and hi = t.upper.(j) in
+    if Float.is_nan lo || Float.is_nan hi then fail "NaN bound on column %d" j;
+    if not (lo <= hi) then
+      fail "column %d has lower bound %g > upper bound %g" j lo hi;
+    if not (lo < infinity) then fail "column %d has lower bound +inf" j;
+    if not (hi > neg_infinity) then fail "column %d has upper bound -inf" j;
+    if not (Float.is_finite t.obj.(j)) then
+      fail "column %d has non-finite objective coefficient %g" j t.obj.(j)
   done;
   for i = 0 to t.nrows - 1 do
-    checkf (Float.is_finite t.rhs.(i)) "row %d has non-finite rhs %g" i
-      t.rhs.(i)
+    if not (Float.is_finite t.rhs.(i)) then
+      fail "row %d has non-finite rhs %g" i t.rhs.(i)
   done;
   match t.basis_hint with
   | None -> ()
   | Some hint ->
-      check (Array.length hint = t.nrows) "basis_hint length";
+      if Array.length hint <> t.nrows then fail "basis_hint length";
       Array.iteri
         (fun i j ->
           if j >= 0 then begin
-            check (j < t.ncols) "basis_hint column out of range";
+            if j >= t.ncols then fail "basis_hint column out of range";
             let col = t.cols.(j) in
-            check (Sparse_vec.nnz col = 1) "basis_hint column not a unit vector";
-            check (Sparse_vec.get col i = 1.) "basis_hint column not e_i"
+            if Sparse_vec.nnz col <> 1 then
+              fail "basis_hint column not a unit vector";
+            if Sparse_vec.get col i <> 1. then fail "basis_hint column not e_i"
           end)
         hint
 

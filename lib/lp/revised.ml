@@ -686,7 +686,6 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
 let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     ?(opt_tol = 1e-7) ?(refactor_interval = 128) ?(bland_after = 2000)
     ?basis:warm prob =
-  Problem.validate prob;
   let deadline_at =
     match deadline with
     | None -> infinity
@@ -743,21 +742,19 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     | Iteration_limit -> finish st Iteration_limit
     | Infeasible -> assert false
   in
-  let fresh_arrays () =
-    let cols = Array.make ntot Sparse_vec.empty in
-    Array.blit prob.Problem.cols 0 cols 0 n;
-    for i = 0 to m - 1 do
-      cols.(n + i) <- Sparse_vec.of_assoc [ (i, 1.) ]
-    done;
+  (* The columns (problem columns, then one artificial unit column per
+     row) are never mutated, so a warm attempt and its cold fallback share
+     them; the bounds are per attempt. *)
+  let fresh_bounds () =
     let lower = Array.make ntot 0. and upper = Array.make ntot 0. in
     Array.blit prob.Problem.lower 0 lower 0 n;
     Array.blit prob.Problem.upper 0 upper 0 n;
-    (cols, lower, upper)
+    (lower, upper)
   in
   (* ---- cold start: bound-feasible nonbasic point, hinted or artificial
      basis, artificial-variable phase 1 when the start is infeasible ---- *)
-  let solve_cold () =
-    let cols, lower, upper = fresh_arrays () in
+  let solve_cold cols =
+    let lower, upper = fresh_bounds () in
     let xval = Array.make ntot 0. in
     (* Nonbasic starting point: finite lower bound if any, else finite upper,
        else 0 for free variables. *)
@@ -860,8 +857,8 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   in
   (* ---- warm start: adopt a prior basis, repair residual infeasibility
      with a bound-relaxation phase 1, fall back to cold on any trouble ---- *)
-  let solve_warm wb =
-    let cols, lower, upper = fresh_arrays () in
+  let solve_warm cols wb =
+    let lower, upper = fresh_bounds () in
     let xval = Array.make ntot 0. in
     let at_upper = Array.make ntot false in
     let basis = Array.make m (-1) in
@@ -949,12 +946,20 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     && Array.length wb.at_upper = n
     && Problem.compatible_basis prob wb.vars
   in
+  (* Validation runs here, inside the timed region and the [lp.revised]
+     span, so its cost is part of the solve it guards. *)
   let dispatch () =
+    Problem.validate prob;
+    let cols =
+      Array.init ntot (fun j ->
+          if j < n then prob.Problem.cols.(j)
+          else Sparse_vec.of_arrays [| j - n |] [| 1. |])
+    in
     match warm with
     | Some wb when warm_usable wb -> (
         Obs.Metrics.incr m_warm_attempts;
-        try solve_warm wb with Warm_start_failed -> solve_cold ())
-    | _ -> solve_cold ()
+        try solve_warm cols wb with Warm_start_failed -> solve_cold cols)
+    | _ -> solve_cold cols
   in
   if not (Obs.Metrics.enabled () || Obs.Trace.active ()) then dispatch ()
   else begin

@@ -14,9 +14,14 @@ val empty : t
 val nnz : t -> int
 (** Number of stored entries. *)
 
+val drop_tol : float
+(** [1e-12], the magnitude at or below which {!of_assoc} drops an entry. *)
+
 val of_assoc : (int * float) list -> t
-(** Build from an unsorted association list.  Duplicate indices are summed;
-    entries with magnitude below [1e-12] are dropped.
+(** Build from an unsorted association list.  Zeros and NaNs are skipped,
+    duplicate indices are summed (in list order after a stable sort by
+    index), and entries whose magnitude is at most {!drop_tol} are
+    dropped.
     @raise Invalid_argument on a negative index. *)
 
 val of_arrays : int array -> float array -> t

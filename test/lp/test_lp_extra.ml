@@ -66,6 +66,95 @@ let test_validate_bad_hint () =
      Alcotest.fail "expected failure"
    with Invalid_argument _ -> ())
 
+(* Every rejection of [Problem.validate], with its exact message.  Each
+   case breaks one field of the sane two-column problem above (or builds
+   the smallest problem that reaches the check). *)
+let validate_messages =
+  let sv = Lp.Sparse_vec.of_assoc and raw = Lp.Sparse_vec.of_arrays in
+  let base = base_problem () in
+  [
+    ( "negative dimensions",
+      false,
+      { base with nrows = -1 },
+      "Problem: negative dimensions" );
+    ("cols length", false, { base with cols = [| sv [ (0, 1.) ] |] }, "Problem: cols length");
+    ("obj length", false, { base with obj = [| 1. |] }, "Problem: obj length");
+    ("lower length", false, { base with lower = [| 0. |] }, "Problem: lower length");
+    ("upper length", false, { base with upper = [||] }, "Problem: upper length");
+    ("rhs length", false, { base with rhs = [| 1.; 2. |] }, "Problem: rhs length");
+    ( "row index >= nrows",
+      false,
+      { base with cols = [| sv [ (0, 1.) ]; sv [ (0, 2.); (3, 1.) ] |] },
+      "Problem: column 1 has row index 3 >= nrows 1" );
+    ( "non-finite coefficient",
+      false,
+      { base with cols = [| sv [ (0, 1.) ]; raw [| 0 |] [| Float.nan |] |] },
+      "Problem: column 1 has non-finite coefficient nan at row 0" );
+    ( "infinite coefficient",
+      false,
+      { base with cols = [| sv [ (0, Float.neg_infinity) ]; sv [ (0, 1.) ] |] },
+      "Problem: column 0 has non-finite coefficient -inf at row 0" );
+    ( "strict empty column",
+      true,
+      { base with cols = [| sv [ (0, 1.) ]; Lp.Sparse_vec.empty |] },
+      "Problem: column 1 is empty (appears in no constraint)" );
+    ( "NaN bound",
+      false,
+      { base with upper = [| 1.; Float.nan |] },
+      "Problem: NaN bound on column 1" );
+    ( "lower > upper",
+      false,
+      { base with lower = [| 2.5; 0. |] },
+      "Problem: column 0 has lower bound 2.5 > upper bound 1" );
+    ( "lower bound +inf",
+      false,
+      { base with lower = [| 0.; infinity |] },
+      "Problem: column 1 has lower bound +inf" );
+    ( "upper bound -inf",
+      false,
+      { base with lower = [| neg_infinity; 0. |]; upper = [| neg_infinity; 1. |] },
+      "Problem: column 0 has upper bound -inf" );
+    ( "non-finite objective",
+      false,
+      { base with obj = [| 1.; infinity |] },
+      "Problem: column 1 has non-finite objective coefficient inf" );
+    ( "non-finite rhs",
+      false,
+      { base with rhs = [| Float.nan |] },
+      "Problem: row 0 has non-finite rhs nan" );
+    ( "basis_hint length",
+      false,
+      { base with basis_hint = Some [| 0; 1 |] },
+      "Problem: basis_hint length" );
+    ( "basis_hint column out of range",
+      false,
+      { base with basis_hint = Some [| 2 |] },
+      "Problem: basis_hint column out of range" );
+    ( "basis_hint column not a unit vector",
+      false,
+      {
+        base with
+        nrows = 2;
+        rhs = [| 1.; 1. |];
+        cols = [| sv [ (0, 1.); (1, 1.) ]; sv [ (1, 1.) ] |];
+        basis_hint = Some [| 0; 1 |];
+      },
+      "Problem: basis_hint column not a unit vector" );
+    ( "basis_hint column not e_i",
+      false,
+      { base with cols = [| sv [ (0, 2.) ]; sv [ (0, 1.) ] |]; basis_hint = Some [| 0 |] },
+      "Problem: basis_hint column not e_i" );
+  ]
+
+let validate_message_cases =
+  List.map
+    (fun (name, strict, p, want) ->
+      Alcotest.test_case ("message: " ^ name) `Quick (fun () ->
+          match Lp.Problem.validate ~strict p with
+          | () -> Alcotest.failf "%s: accepted" name
+          | exception Invalid_argument got -> Alcotest.(check string) name want got))
+    validate_messages
+
 let test_problem_helpers () =
   let p = base_problem () in
   let x = [| 0.25; 0.5 |] in
@@ -295,9 +384,61 @@ let lu_transpose_consistency =
       in
       Float.abs (dot c x -. dot y b) <= 1e-6 *. (1. +. Float.abs (dot c x)))
 
+(* [Model.to_problem] must lower each column to exactly what
+   [Sparse_vec.of_assoc] makes of the column's (row, coeff) entries:
+   duplicates summed in the same order, exact zeros and sums of magnitude
+   at most 1e-12 dropped.  The pool mixes repeated variables, zeros,
+   order-sensitive magnitudes (1e16 + 1 - 1e16), terms that cancel to
+   ~1e-17, and non-finite values. *)
+let lowering_matches_of_assoc =
+  let pool =
+    [| 0.; 1.; -1.; 0.5; 3.; 0.1; 0.2; -0.3; 1e-13; -1e-13; 1e-12; 1e16; -1e16;
+       infinity; neg_infinity; Float.nan |]
+  in
+  QCheck.Test.make ~name:"to_problem columns = of_assoc of their entries" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000))
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let nvars = 1 + Random.State.int rand 5 and nrows = 1 + Random.State.int rand 6 in
+      let m = Lp.Model.create () in
+      let vars = Array.init nvars (fun i -> Lp.Model.add_var m (Printf.sprintf "x%d" i)) in
+      let rows =
+        List.init nrows (fun _ ->
+            List.init (Random.State.int rand 9) (fun _ ->
+                let c =
+                  if Random.State.int rand 4 = 0 then Random.State.float rand 2. -. 1.
+                  else pool.(Random.State.int rand (Array.length pool))
+                in
+                (c, Random.State.int rand nvars)))
+      in
+      List.iter
+        (fun terms -> Lp.Model.add_le m (List.map (fun (c, v) -> (c, vars.(v))) terms) 1.)
+        rows;
+      (* The entries each column collects: row order, and within a row the
+         reverse of term order (the order [of_assoc] has always summed). *)
+      let entries = Array.make (nvars + nrows) [] in
+      List.iteri
+        (fun i terms ->
+          List.iter (fun (c, v) -> entries.(v) <- (i, c) :: entries.(v)) terms;
+          entries.(nvars + i) <- [ (i, 1.) ])
+        rows;
+      let want = Array.map Lp.Sparse_vec.of_assoc entries in
+      let got = (Lp.Model.to_problem m).Lp.Problem.cols in
+      let bits = Array.map Int64.bits_of_float in
+      Array.length got = Array.length want
+      && Array.for_all2
+           (fun (g : Lp.Sparse_vec.t) (w : Lp.Sparse_vec.t) ->
+             g.idx = w.idx && bits g.value = bits w.value)
+           got want)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ bigger_random_agreement; equality_rows_agreement; lu_transpose_consistency ]
+    [
+      bigger_random_agreement;
+      equality_rows_agreement;
+      lu_transpose_consistency;
+      lowering_matches_of_assoc;
+    ]
 
 let () =
   Alcotest.run ~and_exit:false "lp_extra"
@@ -310,7 +451,8 @@ let () =
           Alcotest.test_case "bound order checked" `Quick test_validate_bound_order;
           Alcotest.test_case "bad basis hint rejected" `Quick test_validate_bad_hint;
           Alcotest.test_case "activity/objective/violation" `Quick test_problem_helpers;
-        ] );
+        ]
+        @ validate_message_cases );
       ( "revised",
         [
           Alcotest.test_case "Beale degeneracy terminates" `Quick

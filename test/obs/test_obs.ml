@@ -223,6 +223,31 @@ let test_missing_file_is_error () =
     "Json.of_file" true
     (Result.is_error (Obs.Json.of_file (path ^ ".json")))
 
+(* ---- the revised solver's span ---- *)
+
+(* One [Revised.solve] emits one [lp.revised] span; a problem its
+   validation rejects raises the exact message and emits none. *)
+let test_revised_span () =
+  Obs.Metrics.set_enabled true;
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install (Some sink);
+  let m = Lp.Model.create ~direction:Lp.Model.Maximize () in
+  let x = Lp.Model.add_var m ~obj:3. "x" and y = Lp.Model.add_var m ~obj:5. "y" in
+  Lp.Model.add_le m [ (1., x) ] 4.;
+  Lp.Model.add_le m [ (3., x); (2., y) ] 18.;
+  let prob = Lp.Model.to_problem m in
+  let spans () =
+    List.length
+      (List.filter (fun e -> e.Obs.Trace.name = "lp.revised") (Obs.Trace.events sink))
+  in
+  ignore (Lp.Revised.solve prob);
+  Alcotest.(check int) "one span per solve" 1 (spans ());
+  (match Lp.Revised.solve { prob with Lp.Problem.rhs = [| 4.; Float.nan |] } with
+  | _ -> Alcotest.fail "NaN rhs accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "Problem: row 1 has non-finite rhs nan" msg);
+  Alcotest.(check int) "a rejected problem emits no span" 1 (spans ())
+
 (* ---- end to end: simnet trace vs engine ledger ---- *)
 
 let test_simnet_roundtrip () =
@@ -309,6 +334,11 @@ let () =
           Alcotest.test_case "csv export" `Quick (with_clean test_csv_export);
           Alcotest.test_case "missing file is an error" `Quick
             (with_clean test_missing_file_is_error);
+        ] );
+      ( "lp",
+        [
+          Alcotest.test_case "one lp.revised span per solve" `Quick
+            (with_clean test_revised_span);
         ] );
       ( "simnet",
         [
