@@ -1,6 +1,3 @@
-let m_greedy_fallbacks = Obs.Metrics.counter "planner.greedy_fallbacks"
-let m_plans = Obs.Metrics.counter "planner.plans"
-
 type result = {
   plan : Plan.t;
   lp_objective : float;
@@ -126,23 +123,21 @@ let lp_model ?alive topo cost samples ~budget ~k =
 (* Emit one [Plan] span per planning decision, carrying where the plan
    came from and what the LP claimed for it. *)
 let traced_plan ~topo ~budget ~k f =
-  if not (Obs.Metrics.enabled () || Obs.Trace.active ()) then f ()
+  if not (Obs.Trace.active ()) then f ()
   else begin
     let t0 = Obs.Trace.now () in
     let r = f () in
-    Obs.Metrics.incr m_plans;
-    if Obs.Trace.active () then
-      Obs.Trace.emit Obs.Trace.Plan ~name:"planner.lp_lf" ~start_s:t0
-        ~dur_s:(Obs.Trace.now () -. t0)
-        [
-          ( "provenance",
-            Obs.Trace.Str
-              (Format.asprintf "%a" Robust_plan.pp_provenance r.provenance) );
-          ("lp_objective", Obs.Trace.Float r.lp_objective);
-          ("budget", Obs.Trace.Float budget);
-          ("k", Obs.Trace.Int k);
-          ("nodes", Obs.Trace.Int topo.Sensor.Topology.n);
-        ];
+    Obs.Trace.emit Obs.Trace.Plan ~name:"planner.lp_lf" ~start_s:t0
+      ~dur_s:(Obs.Trace.now () -. t0)
+      [
+        ( "provenance",
+          Obs.Trace.Str
+            (Format.asprintf "%a" Robust_plan.pp_provenance r.provenance) );
+        ("lp_objective", Obs.Trace.Float r.lp_objective);
+        ("budget", Obs.Trace.Float budget);
+        ("k", Obs.Trace.Int k);
+        ("nodes", Obs.Trace.Int topo.Sensor.Topology.n);
+      ];
     r
   end
 
@@ -157,7 +152,6 @@ let plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
       ?deadline:lp_deadline model
   with
   | Error _ ->
-      Obs.Metrics.incr m_greedy_fallbacks;
       (* No certified LP solution: ship the greedy selection without local
          filtering.  Its objective is the covered-ones count the selection
          achieves on the samples (the same currency as the LP's). *)

@@ -10,13 +10,6 @@ type decision =
   | Kept
   | Disseminated of { plan : Plan.t; guarantee : Guarantee.t option }
 
-let m_considered = Obs.Metrics.counter "replan.considered"
-let m_guarantee_refused = Obs.Metrics.counter "replan.guarantee_refused"
-let m_warm_hits = Obs.Metrics.counter "replan.warm_hits"
-let m_warm_misses = Obs.Metrics.counter "replan.warm_misses"
-let m_disseminated = Obs.Metrics.counter "replan.disseminated"
-let m_kept = Obs.Metrics.counter "replan.kept"
-
 let create ?(min_gain = 0.05) ?(amortization_runs = 50) ~initial () =
   if min_gain < 0. then invalid_arg "Replan.create: negative min_gain";
   if amortization_runs < 1 then
@@ -46,7 +39,6 @@ let force t topo cost plan ~k samples =
   let g = Guarantee.compute topo cost plan ~k samples in
   t.plan <- plan;
   t.replans <- t.replans + 1;
-  Obs.Metrics.incr m_disseminated;
   g
 
 let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
@@ -55,8 +47,6 @@ let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
      epoch's final basis.  When the sample window changes the LP's shape,
      Robust_plan.solve drops the token via the LP layer's shared
      Lp.Model.basis_compatible predicate and the solve starts cold. *)
-  Obs.Metrics.incr m_considered;
-  Obs.Metrics.incr (if t.warm <> None then m_warm_hits else m_warm_misses);
   let r =
     Lp_lf.plan ?warm_start:t.warm ?max_lp_iterations ?lp_deadline ?guarantee
       topo cost samples ~budget ~k
@@ -73,14 +63,11 @@ let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
   if r.Lp_lf.provenance = Robust_plan.Fell_back_greedy then begin
     (* Never disseminate an uncertified candidate: the greedy fallback is a
        safety net for answering queries, not a plan worth an install. *)
-    Obs.Metrics.incr m_kept;
     Kept
   end
   else if not target_met then begin
     (* The (eps, delta) target could not be certified even after budget
        escalation: an unbacked promise is never disseminated. *)
-    Obs.Metrics.incr m_guarantee_refused;
-    Obs.Metrics.incr m_kept;
     Kept
   end
   else begin
@@ -99,7 +86,6 @@ let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
   if gain >= t.min_gain +. install_penalty then begin
     t.plan <- candidate;
     t.replans <- t.replans + 1;
-    Obs.Metrics.incr m_disseminated;
     (* Every disseminated plan ships with its certified bound: the
        escalation ladder's bound when a target was requested, otherwise a
        default-confidence bound on the current window. *)
@@ -113,8 +99,5 @@ let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
     in
     Disseminated { plan = candidate; guarantee = g }
   end
-  else begin
-    Obs.Metrics.incr m_kept;
-    Kept
-  end
+  else Kept
   end

@@ -4,15 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type provenance = Certified_revised | Certified_dense | Fell_back_greedy
 
-(* Provenance tally across every solve in a run: how often the fast path
-   sufficed, how often the dense reference had to rescue it, and how often
-   the whole chain failed (the planner's greedy fallback is counted at its
-   use site in [Lp_lf]). *)
-let m_certified_revised = Obs.Metrics.counter "planner.certified_revised"
-let m_certified_dense = Obs.Metrics.counter "planner.certified_dense"
-let m_chain_failures = Obs.Metrics.counter "planner.chain_failures"
-let m_warm_incompatible = Obs.Metrics.counter "planner.warm_incompatible"
-
 type lp_result = {
   solution : Lp.Model.solution;
   report : Lp.Certify.report;
@@ -29,13 +20,10 @@ let solve ?warm_start ?max_iterations ?deadline model =
      funnels its warm-start tokens through here, so this one call to the
      LP layer's shared predicate is the basis-compatibility check for all
      of them: a stale token from a differently shaped instance is dropped
-     — and counted — instead of relying on each caller to re-derive the
-     shape rule. *)
+     instead of relying on each caller to re-derive the shape rule. *)
   let warm_start =
     match warm_start with
-    | Some b when not (Lp.Model.basis_compatible model b) ->
-        Obs.Metrics.incr m_warm_incompatible;
-        None
+    | Some b when not (Lp.Model.basis_compatible model b) -> None
     | w -> w
   in
   let sol, report =
@@ -44,7 +32,6 @@ let solve ?warm_start ?max_iterations ?deadline model =
   if report.Lp.Certify.certified then
     match sol.Lp.Model.status with
     | Lp.Model.Optimal ->
-        Obs.Metrics.incr m_certified_revised;
         Ok { solution = sol; report; provenance = Certified_revised }
     | Lp.Model.Infeasible -> Error (Proved_infeasible report)
     | Lp.Model.Unbounded -> Error (Proved_unbounded report)
@@ -59,15 +46,12 @@ let solve ?warm_start ?max_iterations ?deadline model =
     let dsol, dreport =
       Lp.Model.solve_dense_certified ?max_pivots:max_iterations model
     in
-    if dreport.Lp.Certify.certified then begin
-      Obs.Metrics.incr m_certified_dense;
+    if dreport.Lp.Certify.certified then
       Ok { solution = dsol; report = dreport; provenance = Certified_dense }
-    end
     else begin
       Log.warn (fun m ->
           m "dense solve not certified either (%s); planner must fall back"
             (String.concat "; " dreport.Lp.Certify.reasons));
-      Obs.Metrics.incr m_chain_failures;
       Error
         (No_certified_solution
            (revised_reasons @ dreport.Lp.Certify.reasons))
@@ -84,10 +68,6 @@ type 'r attempt = {
 }
 
 type 'r guaranteed = { chosen : 'r attempt; attained : bool; escalations : int }
-
-let m_target_met = Obs.Metrics.counter "guarantee.target_met"
-let m_target_unattainable = Obs.Metrics.counter "guarantee.target_unattainable"
-let h_escalations = Obs.Metrics.histogram "guarantee.escalations"
 
 let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
     ~planner ~describe topo cost ~k samples ~budget =
@@ -125,8 +105,6 @@ let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
   in
   let rec ladder e best =
     if e >= rungs then begin
-      Obs.Metrics.incr m_target_unattainable;
-      Obs.Metrics.observe h_escalations (float_of_int max_escalations);
       Log.warn (fun msg ->
           msg
             "guarantee target (eps = %g, delta = %g) unattainable within %d \
@@ -136,11 +114,8 @@ let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
     end
     else begin
       let a = certify_rung ~rung_budget:(budget *. (growth ** float_of_int e)) in
-      if Guarantee.meets a.guarantee ~eps ~delta then begin
-        Obs.Metrics.incr m_target_met;
-        Obs.Metrics.observe h_escalations (float_of_int e);
+      if Guarantee.meets a.guarantee ~eps ~delta then
         { chosen = a; attained = true; escalations = e }
-      end
       else begin
         let best =
           (* Strict improvement only: ties keep the earlier (cheaper)
@@ -156,11 +131,8 @@ let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
     end
   in
   let first = certify_rung ~rung_budget:budget in
-  if Guarantee.meets first.guarantee ~eps ~delta then begin
-    Obs.Metrics.incr m_target_met;
-    Obs.Metrics.observe h_escalations 0.;
+  if Guarantee.meets first.guarantee ~eps ~delta then
     { chosen = first; attained = true; escalations = 0 }
-  end
   else ladder 1 first
 
 let provenance_equal a b =

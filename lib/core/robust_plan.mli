@@ -51,10 +51,9 @@ val solve :
     {!Lp.Model.basis_compatible} predicate — the single implementation of
     the shape rule for every planner routing through this chain ([Replan],
     [Repair], the serving layer's warm-basis pool); an incompatible token
-    is dropped (counted as [planner.warm_incompatible]) and the solve
-    starts cold.  Never raises on solver failure: the worst outcome is
-    [Error (No_certified_solution _)], which a planner answers with its
-    greedy fallback. *)
+    is dropped and the solve starts cold.  Never raises on solver failure:
+    the worst outcome is [Error (No_certified_solution _)], which a
+    planner answers with its greedy fallback. *)
 
 val provenance_equal : provenance -> provenance -> bool
 (** Structural equality on {!provenance} (avoids polymorphic [=]). *)

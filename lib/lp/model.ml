@@ -42,13 +42,6 @@ and finalized = {
 
 type basis = { b_nvars : int; b_nrows : int; rb : Revised.basis }
 
-let m_warm_supplied = Obs.Metrics.counter "lp.model.warm_supplied"
-let m_warm_used = Obs.Metrics.counter "lp.model.warm_used"
-let m_warm_shape_mismatch = Obs.Metrics.counter "lp.model.warm_shape_mismatch"
-let m_certified = Obs.Metrics.counter "lp.model.certified"
-let m_cert_rejected = Obs.Metrics.counter "lp.model.certify_rejected"
-let t_certify = Obs.Metrics.timer "lp.model.certify_s"
-
 type solution = {
   status : status;
   objective : float;
@@ -252,15 +245,8 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
      shared {!basis_compatible} predicate decides. *)
   let basis =
     match warm_start with
-    | Some w when basis_compatible t w ->
-        Obs.Metrics.incr m_warm_supplied;
-        Obs.Metrics.incr m_warm_used;
-        Some w.rb
-    | Some _ ->
-        Obs.Metrics.incr m_warm_supplied;
-        Obs.Metrics.incr m_warm_shape_mismatch;
-        None
-    | None -> None
+    | Some w when basis_compatible t w -> Some w.rb
+    | _ -> None
   in
   let res = Revised.solve ?max_iterations ?deadline ?bland_after ?basis prob in
   (* Internal duals are for the minimized objective; convert to the
@@ -382,23 +368,18 @@ let solve_dense_lowered ?max_pivots t prob =
     basis = None;
   }
 
-let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
-    ?warm_start t =
-  match solver with
-  | `Revised ->
-      let _, _, sol =
-        solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
-      in
-      sol
-  | `Dense -> solve_dense_lowered t (to_problem t)
+let solve ?max_iterations ?deadline ?bland_after ?warm_start t =
+  let _, _, sol =
+    solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
+  in
+  sol
 
 (* ---- certified solves ---- *)
 
 let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
   let prob, res, sol = solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t in
   let certify_t0 =
-    if Obs.Metrics.enabled () || Obs.Trace.active () then Obs.Trace.now ()
-    else 0.
+    if Obs.Trace.active () then Obs.Trace.now () else 0.
   in
   let report =
     match res.Revised.status with
@@ -417,19 +398,14 @@ let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
     | Revised.Iteration_limit ->
         Certify.reject "iteration/time budget exhausted before optimality"
   in
-  if Obs.Metrics.enabled () || Obs.Trace.active () then begin
-    let dur = Obs.Trace.now () -. certify_t0 in
-    Obs.Metrics.incr m_certified;
-    if not report.Certify.certified then Obs.Metrics.incr m_cert_rejected;
-    Obs.Metrics.record_s t_certify dur;
+  if Obs.Trace.active () then
     Obs.Trace.emit Obs.Trace.Certify ~name:"lp.model" ~start_s:certify_t0
-      ~dur_s:dur
+      ~dur_s:(Obs.Trace.now () -. certify_t0)
       [
         ("certified", Obs.Trace.Bool report.Certify.certified);
         ("primal_residual", Obs.Trace.Float report.Certify.primal_residual);
         ("duality_gap", Obs.Trace.Float report.Certify.duality_gap);
-      ]
-  end;
+      ];
   (sol, report)
 
 let solve_dense_certified ?max_pivots t =

@@ -93,7 +93,6 @@ val to_problem : t -> Problem.t
     solution against it. *)
 
 val solve :
-  ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?bland_after:int ->
@@ -105,7 +104,7 @@ val solve :
     budget in seconds for the revised solver (best effort; exceeded budgets
     yield [Iteration_limit]).  [warm_start] feeds a previous solution's
     basis token back to the revised solver; it is ignored when the shapes
-    differ, or with the dense solver.  [bland_after] tunes the
+    differ.  [bland_after] tunes the
     degeneracy threshold for the Bland's-rule fallback (tests only). *)
 
 val solve_certified :

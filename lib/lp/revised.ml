@@ -2,31 +2,13 @@ let src = Logs.Src.create "lp.revised" ~doc:"Revised simplex"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Process-wide telemetry (lib/obs): cumulative solver counters, the solve
-   latency histogram and one [Solve] trace span per call.  All of it is
-   gated — with telemetry disabled and no sink installed the only cost is
-   the per-solve [Obs.Metrics.enabled] check.  The per-solve [stats]
-   record is carried by ungated local counters so its public accessors
-   stay exact either way. *)
-let m_solves = Obs.Metrics.counter "lp.revised.solves"
+(* Simplex tolerances: primal feasibility, reduced-cost optimality, and the
+   eta-file length that forces a fresh LU factorization. *)
+let feas_tol = 1e-7
 
-let m_pivots = Obs.Metrics.counter "lp.revised.pivots"
+let opt_tol = 1e-7
 
-let m_phase1_pivots = Obs.Metrics.counter "lp.revised.phase1_pivots"
-
-let m_refactorizations = Obs.Metrics.counter "lp.revised.refactorizations"
-
-let m_drift = Obs.Metrics.counter "lp.revised.drift_refactorizations"
-
-let m_growth = Obs.Metrics.counter "lp.revised.growth_refactorizations"
-
-let m_degenerate = Obs.Metrics.counter "lp.revised.degenerate_pivots"
-
-let m_bound_flips = Obs.Metrics.counter "lp.revised.bound_flips"
-
-let m_warm_attempts = Obs.Metrics.counter "lp.revised.warm_attempts"
-
-let t_solve = Obs.Metrics.timer "lp.revised.solve_s"
+let refactor_interval = 128
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -104,25 +86,20 @@ type state = {
   mutable since_refill : int;  (* pivots taken from the current list *)
   wnz : int array;  (* scratch: nonzero slots of the current FTRAN column *)
   mutable n_wnz : int;
-  (* -- counters / controls --
-     Per-solve stats live in ungated obs counters: they are part of the
-     public [stats] contract and must count with telemetry off. *)
-  iterations : Obs.Metrics.counter;
-  phase1_iterations : Obs.Metrics.counter;
-  refactorizations : Obs.Metrics.counter;
-  drift_refactorizations : Obs.Metrics.counter;
-  growth_refactorizations : Obs.Metrics.counter;
-  degenerate_pivots : Obs.Metrics.counter;
-  bound_flips : Obs.Metrics.counter;
+  (* -- counters / controls (the counters back the public [stats]) -- *)
+  mutable iterations : int;
+  mutable phase1_iterations : int;
+  mutable refactorizations : int;
+  mutable drift_refactorizations : int;
+  mutable growth_refactorizations : int;
+  mutable degenerate_pivots : int;
+  mutable bound_flips : int;
   mutable consecutive_degenerate : int;
   mutable bland : bool;
   mutable pivots_since_drift_check : int;
   mutable loop_ticks : int;  (* loop entries, for the deadline check *)
   mutable last_ray : float array option;  (* set when Unbounded is declared *)
   deadline_at : float;  (* absolute wall-clock limit, [infinity] if none *)
-  feas_tol : float;
-  opt_tol : float;
-  refactor_interval : int;
   bland_after : int;
 }
 
@@ -182,7 +159,7 @@ let refactorize st =
   st.n_etas <- 0;
   st.eta_nnz <- 0;
   st.lu_fill <- Lu.fill_nnz st.lu;
-  Obs.Metrics.incr st.refactorizations;
+  st.refactorizations <- st.refactorizations + 1;
   (* Invalidate pricing caches: the fresh factorization purges drift, so
      reduced costs are recomputed from scratch on the next pricing call. *)
   st.epoch <- st.epoch + 1;
@@ -218,11 +195,11 @@ let reduced_cost st c j =
    upper/free); [None] when [j] prices out. *)
 let entering_dir st j d =
   if is_free st j then
-    if d < -.st.opt_tol then Some 1.
-    else if d > st.opt_tol then Some (-1.)
+    if d < -.opt_tol then Some 1.
+    else if d > opt_tol then Some (-1.)
     else None
-  else if st.at_upper.(j) then if d > st.opt_tol then Some (-1.) else None
-  else if d < -.st.opt_tol then Some 1.
+  else if st.at_upper.(j) then if d > opt_tol then Some (-1.) else None
+  else if d < -.opt_tol then Some 1.
   else None
 
 let priceable st j = st.where.(j) < 0 && (not (is_fixed st j)) && not (is_banned st j)
@@ -394,7 +371,7 @@ let apply_flip st q dir w =
   done;
   st.at_upper.(q) <- not st.at_upper.(q);
   st.xval.(q) <- (if st.at_upper.(q) then st.upper.(q) else st.lower.(q));
-  Obs.Metrics.incr st.bound_flips
+  st.bound_flips <- st.bound_flips + 1
 (* A bound flip keeps the basis, so cached duals and reduced costs stay
    valid: no epoch bump. *)
 
@@ -480,7 +457,7 @@ let apply_pivot st q dir w slot t to_upper =
   done;
   push_eta st { slot; wp; rows; vals };
   if t <= 1e-10 then begin
-    Obs.Metrics.incr st.degenerate_pivots;
+    st.degenerate_pivots <- st.degenerate_pivots + 1;
     st.consecutive_degenerate <- st.consecutive_degenerate + 1
   end
   else st.consecutive_degenerate <- 0;
@@ -489,13 +466,13 @@ let apply_pivot st q dir w slot t to_upper =
     st.bland <- true
   end;
   st.pivots_since_drift_check <- st.pivots_since_drift_check + 1;
-  if st.n_etas >= st.refactor_interval then refactorize st
+  if st.n_etas >= refactor_interval then refactorize st
   else if st.n_etas >= 16 && st.eta_nnz > 4 * (st.lu_fill + st.m) then begin
     (* Eta-file growth: the product-form updates have accumulated more
        fill than a fresh factorization would carry, so solves are both
        slower and numerically staler than a refactorization.  Fold them
        in early rather than waiting for the fixed interval. *)
-    Obs.Metrics.incr st.growth_refactorizations;
+    st.growth_refactorizations <- st.growth_refactorizations + 1;
     refactorize st
   end
 
@@ -536,7 +513,7 @@ let ftran_checked st q =
     if worst > drift_tol *. (1. +. Sparse_vec.max_abs st.cols.(q)) then begin
       Log.debug (fun f ->
           f "FTRAN residual %.3g after %d etas: refactorizing" worst st.n_etas);
-      Obs.Metrics.incr st.drift_refactorizations;
+      st.drift_refactorizations <- st.drift_refactorizations + 1;
       refactorize st;
       ftran st (spread st q)
     end
@@ -565,8 +542,7 @@ let optimize st c ~phase1 ~max_iterations =
     banned_list := []
   in
   let rec loop () =
-    if Obs.Metrics.value st.iterations >= max_iterations || past_deadline st
-    then Iteration_limit
+    if st.iterations >= max_iterations || past_deadline st then Iteration_limit
     else
       match price st c with
       | None -> Optimal
@@ -599,8 +575,8 @@ let optimize st c ~phase1 ~max_iterations =
                 Unbounded
               end
           | Flip ->
-              Obs.Metrics.incr st.iterations;
-              if phase1 then Obs.Metrics.incr st.phase1_iterations;
+              st.iterations <- st.iterations + 1;
+              if phase1 then st.phase1_iterations <- st.phase1_iterations + 1;
               apply_flip st q dir w;
               clear_bans ();
               loop ()
@@ -617,8 +593,8 @@ let optimize st c ~phase1 ~max_iterations =
                 loop ()
               end
               else begin
-                Obs.Metrics.incr st.iterations;
-                if phase1 then Obs.Metrics.incr st.phase1_iterations;
+                st.iterations <- st.iterations + 1;
+                if phase1 then st.phase1_iterations <- st.phase1_iterations + 1;
                 apply_pivot st q dir w slot t to_upper;
                 clear_bans ();
                 loop ()
@@ -632,8 +608,8 @@ let optimize st c ~phase1 ~max_iterations =
 
 exception Warm_start_failed
 
-let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
-    ~deadline_at prob basis where xval at_upper lower upper cols ntot =
+let make_state ~bland_after ~deadline_at prob basis where xval at_upper lower
+    upper cols ntot =
   let m = prob.Problem.nrows in
   let lu = Lu.factor ~dim:m (Array.map (fun j -> cols.(j)) basis) in
   {
@@ -664,27 +640,23 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     since_refill = 0;
     wnz = Array.make m 0;
     n_wnz = 0;
-    iterations = Obs.Metrics.local "iterations";
-    phase1_iterations = Obs.Metrics.local "phase1_iterations";
-    refactorizations = Obs.Metrics.local "refactorizations";
-    drift_refactorizations = Obs.Metrics.local "drift_refactorizations";
-    growth_refactorizations = Obs.Metrics.local "growth_refactorizations";
-    degenerate_pivots = Obs.Metrics.local "degenerate_pivots";
-    bound_flips = Obs.Metrics.local "bound_flips";
+    iterations = 0;
+    phase1_iterations = 0;
+    refactorizations = 0;
+    drift_refactorizations = 0;
+    growth_refactorizations = 0;
+    degenerate_pivots = 0;
+    bound_flips = 0;
     consecutive_degenerate = 0;
     bland = false;
     pivots_since_drift_check = 0;
     loop_ticks = 0;
     last_ray = None;
     deadline_at;
-    feas_tol;
-    opt_tol;
-    refactor_interval;
     bland_after;
   }
 
-let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
-    ?(opt_tol = 1e-7) ?(refactor_interval = 128) ?(bland_after = 2000)
+let solve ?(max_iterations = 200_000) ?deadline ?(bland_after = 2000)
     ?basis:warm prob =
   let deadline_at =
     match deadline with
@@ -719,15 +691,13 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
       basis;
       stats =
         {
-          iterations = Obs.Metrics.value st.iterations;
-          phase1_iterations = Obs.Metrics.value st.phase1_iterations;
-          refactorizations = Obs.Metrics.value st.refactorizations;
-          drift_refactorizations =
-            Obs.Metrics.value st.drift_refactorizations;
-          growth_refactorizations =
-            Obs.Metrics.value st.growth_refactorizations;
-          degenerate_pivots = Obs.Metrics.value st.degenerate_pivots;
-          bound_flips = Obs.Metrics.value st.bound_flips;
+          iterations = st.iterations;
+          phase1_iterations = st.phase1_iterations;
+          refactorizations = st.refactorizations;
+          drift_refactorizations = st.drift_refactorizations;
+          growth_refactorizations = st.growth_refactorizations;
+          degenerate_pivots = st.degenerate_pivots;
+          bound_flips = st.bound_flips;
         };
       farkas = (if status = Infeasible then farkas else None);
       ray;
@@ -812,8 +782,8 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     done;
     Array.iteri (fun slot j -> where.(j) <- slot) basis;
     let st =
-      make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
-        ~deadline_at prob basis where xval at_upper lower upper cols ntot
+      make_state ~bland_after ~deadline_at prob basis where xval at_upper lower
+        upper cols ntot
     in
     if not !need_phase1 then phase2 st
     else begin
@@ -833,7 +803,7 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
           for i = 0 to m - 1 do
             infeas := !infeas +. Float.abs st.xval.(n + i)
           done;
-          if !infeas > Float.max 1e-6 (st.feas_tol *. float_of_int m) then begin
+          if !infeas > Float.max 1e-6 (feas_tol *. float_of_int m) then begin
             (* The phase-1 duals are a Farkas certificate: at the phase-1
                optimum every problem column's reduced cost [-y'a_j] prices
                out against its bound, so [y'b - sup y'Ax] equals the
@@ -885,8 +855,8 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     done;
     let st =
       try
-        make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
-          ~deadline_at prob basis where xval at_upper lower upper cols ntot
+        make_state ~bland_after ~deadline_at prob basis where xval at_upper
+          lower upper cols ntot
       with Lu.Singular _ -> raise Warm_start_failed
     in
     (* Basic values implied by the nonbasic point. *)
@@ -957,41 +927,29 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     in
     match warm with
     | Some wb when warm_usable wb -> (
-        Obs.Metrics.incr m_warm_attempts;
         try solve_warm cols wb with Warm_start_failed -> solve_cold cols)
     | _ -> solve_cold cols
   in
-  if not (Obs.Metrics.enabled () || Obs.Trace.active ()) then dispatch ()
+  if not (Obs.Trace.active ()) then dispatch ()
   else begin
     let t0 = Obs.Trace.now () in
     let res = dispatch () in
-    let dur = Obs.Trace.now () -. t0 in
-    Obs.Metrics.incr m_solves;
-    Obs.Metrics.add m_pivots res.stats.iterations;
-    Obs.Metrics.add m_phase1_pivots res.stats.phase1_iterations;
-    Obs.Metrics.add m_refactorizations res.stats.refactorizations;
-    Obs.Metrics.add m_drift res.stats.drift_refactorizations;
-    Obs.Metrics.add m_growth res.stats.growth_refactorizations;
-    Obs.Metrics.add m_degenerate res.stats.degenerate_pivots;
-    Obs.Metrics.add m_bound_flips res.stats.bound_flips;
-    Obs.Metrics.record_s t_solve dur;
-    if Obs.Trace.active () then
-      Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
-        ~dur_s:dur
-        [
-          ("status", Obs.Trace.Str (status_to_string res.status));
-          ("rows", Obs.Trace.Int m);
-          ("cols", Obs.Trace.Int n);
-          ("iterations", Obs.Trace.Int res.stats.iterations);
-          ("phase1_iterations", Obs.Trace.Int res.stats.phase1_iterations);
-          ("refactorizations", Obs.Trace.Int res.stats.refactorizations);
-          ( "drift_refactorizations",
-            Obs.Trace.Int res.stats.drift_refactorizations );
-          ( "growth_refactorizations",
-            Obs.Trace.Int res.stats.growth_refactorizations );
-          ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
-          ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
-          ("warm", Obs.Trace.Bool (warm <> None));
-        ];
+    Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
+      ~dur_s:(Obs.Trace.now () -. t0)
+      [
+        ("status", Obs.Trace.Str (status_to_string res.status));
+        ("rows", Obs.Trace.Int m);
+        ("cols", Obs.Trace.Int n);
+        ("iterations", Obs.Trace.Int res.stats.iterations);
+        ("phase1_iterations", Obs.Trace.Int res.stats.phase1_iterations);
+        ("refactorizations", Obs.Trace.Int res.stats.refactorizations);
+        ( "drift_refactorizations",
+          Obs.Trace.Int res.stats.drift_refactorizations );
+        ( "growth_refactorizations",
+          Obs.Trace.Int res.stats.growth_refactorizations );
+        ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
+        ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
+        ("warm", Obs.Trace.Bool (warm <> None));
+      ];
     res
   end

@@ -68,16 +68,13 @@ type result = {
 val solve :
   ?max_iterations:int ->
   ?deadline:float ->
-  ?feas_tol:float ->
-  ?opt_tol:float ->
-  ?refactor_interval:int ->
   ?bland_after:int ->
   ?basis:basis ->
   Problem.t ->
   result
-(** Solve the problem.  Defaults: [max_iterations = 200_000],
-    [feas_tol = 1e-7], [opt_tol = 1e-7], [refactor_interval = 128],
-    [bland_after = 2000] (consecutive degenerate pivots tolerated before
+(** Solve the problem with feasibility and optimality tolerances of 1e-7
+    and a fresh LU factorization every 128 eta updates.  Defaults:
+    [max_iterations = 200_000], [bland_after = 2000] (consecutive degenerate pivots tolerated before
     switching to Bland's rule; lower it only to exercise the fallback in
     tests).  [deadline] is a wall-clock budget in seconds: once exceeded
     the solve stops at the next pivot boundary with

@@ -1,6 +1,6 @@
 (* Per-run aggregation of a trace: one row per (kind, name) with counts,
-   wall-clock totals and the sums of every numeric attribute, plus a
-   duration histogram per kind so percentiles survive aggregation. *)
+   wall-clock totals and the sums of every numeric attribute, plus each
+   kind's sorted span durations so its percentiles are exact. *)
 
 type row = {
   kind : Trace.kind;
@@ -11,11 +11,11 @@ type row = {
   attr_sums : (string * float) list; (* numeric attrs only, summed *)
 }
 
-type t = { rows : row list; dur_hists : (Trace.kind * Metrics.histogram) list }
+type t = { rows : row list; durations : (Trace.kind * float array) list }
 
 let of_events evs =
   let tbl : (Trace.kind * string, row) Hashtbl.t = Hashtbl.create 16 in
-  let hists : (Trace.kind, Metrics.histogram) Hashtbl.t = Hashtbl.create 8 in
+  let durs : (Trace.kind, float list) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (e : Trace.event) ->
       let key = (e.Trace.kind, e.Trace.name) in
@@ -50,22 +50,14 @@ let of_events evs =
           max_dur_s = Float.max row.max_dur_s e.Trace.dur_s;
           attr_sums;
         };
-      let h =
-        match Hashtbl.find_opt hists e.Trace.kind with
-        | Some h -> h
-        | None ->
-            let h =
-              Metrics.local_histogram
-                (Printf.sprintf "report.%s.dur_s"
-                   (Trace.kind_to_string e.Trace.kind))
-            in
-            Hashtbl.replace hists e.Trace.kind h;
-            h
-      in
-      if e.Trace.dur_s > 0. then Metrics.observe h e.Trace.dur_s)
+      (* Point events (dur_s = 0) carry no latency. *)
+      if e.Trace.dur_s > 0. then
+        Hashtbl.replace durs e.Trace.kind
+          (e.Trace.dur_s
+          :: Option.value ~default:[] (Hashtbl.find_opt durs e.Trace.kind)))
     evs;
   (* Canonical order everywhere downstream (pp, JSONL/CSV exporters): rows
-     by (kind, name), attr totals by key, histograms by kind — never
+     by (kind, name), attr totals by key, durations by kind — never
      hash-table order. *)
   let rows =
     Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
@@ -82,15 +74,24 @@ let of_events evs =
                  r.attr_sums;
            })
   in
-  let dur_hists =
-    Hashtbl.fold (fun k h acc -> (k, h) :: acc) hists []
+  let durations =
+    Hashtbl.fold
+      (fun k ds acc ->
+        let a = Array.of_list ds in
+        Array.sort Float.compare a;
+        (k, a) :: acc)
+      durs []
     |> List.sort (fun (a, _) (b, _) -> Trace.compare_kind a b)
   in
-  { rows; dur_hists }
+  { rows; durations }
 
 let rows t = t.rows
 
-let duration_histogram t kind = List.assoc_opt kind t.dur_hists
+(* Nearest-rank percentile of a sorted, non-empty array: the smallest
+   observed value with at least [p]% of the samples at or below it. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  sorted.(Int.max 0 ((((p * n) + 99) / 100) - 1))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
@@ -105,16 +106,16 @@ let pp ppf t =
         (1000. *. r.max_dur_s))
     t.rows;
   List.iter
-    (fun (k, h) ->
-      if Metrics.hist_count h > 0 then
-        Format.fprintf ppf
-          "%s durations: n=%d p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms@,"
-          (Trace.kind_to_string k) (Metrics.hist_count h)
-          (1000. *. Metrics.percentile h 50.)
-          (1000. *. Metrics.percentile h 90.)
-          (1000. *. Metrics.percentile h 99.)
-          (1000. *. Metrics.hist_max h))
-    t.dur_hists;
+    (fun (k, d) ->
+      let n = Array.length d in
+      Format.fprintf ppf
+        "%s durations: n=%d p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms@,"
+        (Trace.kind_to_string k) n
+        (1000. *. percentile d 50)
+        (1000. *. percentile d 90)
+        (1000. *. percentile d 99)
+        (1000. *. d.(n - 1)))
+    t.durations;
   List.iter
     (fun r ->
       if r.attr_sums <> [] then begin

@@ -1,7 +1,8 @@
 (** Per-run aggregation of a trace: one row per (kind, name) with counts,
-    wall-clock totals and summed numeric attributes, plus a per-kind
-    duration histogram so latency percentiles survive aggregation.  Used
-    by [bin/obs_report] to pretty-print any exported trace file. *)
+    wall-clock totals and summed numeric attributes, plus each kind's
+    exact nearest-rank p50/p90/p99/max span duration (events with
+    [dur_s > 0] only).  Used by [bin/obs_report] to pretty-print any
+    exported trace file. *)
 
 type row = {
   kind : Trace.kind;
@@ -18,8 +19,5 @@ val of_events : Trace.event list -> t
 
 val rows : t -> row list
 (** Sorted by (kind, name). *)
-
-val duration_histogram : t -> Trace.kind -> Metrics.histogram option
-(** Histogram over the [dur_s] of this kind's events ([> 0] only). *)
 
 val pp : Format.formatter -> t -> unit

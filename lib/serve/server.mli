@@ -29,11 +29,10 @@
     order even though the claimant identities are timing-dependent.
 
     {b Telemetry}: the server keeps its own always-on tallies ({!stats})
-    and mirrors them to gated [serve.*] Obs counters, with one [Serve]
-    trace span per admission batch.  The Obs registry is single-domain by
-    design, so while telemetry or tracing is enabled the server runs its
-    solves inline (effective [domains] = 1); parallel fan-out is for the
-    telemetry-off serving configuration. *)
+    and emits one [Serve] trace span per admission batch.  The trace sink
+    is single-domain by design, so while one is installed the server runs
+    its solves inline (effective [domains] = 1); parallel fan-out is for
+    the untraced serving configuration. *)
 
 type config = {
   cache_capacity : int;  (** exact plan-cache entries (and families); 0 disables *)

@@ -609,24 +609,41 @@ let test_replan_refuses_unmet_target () =
 
 (* ---------- telemetry ---------- *)
 
+(* Every [Guarantee.compute] emits one [planner.guarantee] span carrying
+   the bound it returned; an unattainable target walks the whole ladder,
+   one span per rung, and reports [attained = false]. *)
 let test_guarantee_telemetry () =
   let topo, cost, _, plan, k, samples = fixed_instance 19 in
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install (Some sink);
   Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
+    ~finally:(fun () -> Obs.Trace.install None)
     (fun () ->
-      ignore (Prospector.Guarantee.compute topo cost plan ~k samples);
-      Alcotest.(check int) "guarantee.computed counts" 1
-        (Obs.Metrics.value (Obs.Metrics.counter "guarantee.computed"));
-      Alcotest.(check int) "guarantee.eps observed" 1
-        (Obs.Metrics.hist_count (Obs.Metrics.histogram "guarantee.eps"));
-      ignore (plan_with_target topo cost samples ~k ~budget:4. ~eps:1e-4 ~delta:1e-3);
-      Alcotest.(check int) "unattainable target counted" 1
-        (Obs.Metrics.value
-           (Obs.Metrics.counter "guarantee.target_unattainable")))
+      let spans () =
+        List.filter
+          (fun e -> e.Obs.Trace.name = "planner.guarantee")
+          (Obs.Trace.events sink)
+      in
+      let g = Prospector.Guarantee.compute topo cost plan ~k samples in
+      (match spans () with
+      | [ e ] ->
+          Alcotest.(check (option (float 0.)))
+            "eps attr" (Some g.Prospector.Guarantee.eps)
+            (Obs.Trace.number e "eps");
+          Alcotest.(check (option (float 0.)))
+            "certified_lower attr"
+            (Some g.Prospector.Guarantee.certified_lower)
+            (Obs.Trace.number e "certified_lower")
+      | l -> Alcotest.failf "expected one guarantee span, got %d" (List.length l));
+      Obs.Trace.clear sink;
+      let r =
+        plan_with_target topo cost samples ~k ~budget:4. ~eps:1e-4 ~delta:1e-3
+      in
+      Alcotest.(check bool) "unattainable target" false
+        r.Prospector.Robust_plan.attained;
+      Alcotest.(check int) "one span per rung"
+        (r.Prospector.Robust_plan.escalations + 1)
+        (List.length (spans ())))
 
 let () =
   Alcotest.run "guarantee"

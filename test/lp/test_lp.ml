@@ -1,6 +1,6 @@
-(* Tests for the LP substrate: sparse vectors, the sparse accumulator, the
-   sparse LU factorization, the dense reference simplex, and the revised
-   simplex (including a randomized cross-check between the two solvers). *)
+(* Tests for the LP substrate: sparse vectors, the sparse LU
+   factorization, the dense reference simplex, and the revised simplex
+   (including a randomized cross-check between the two solvers). *)
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -42,24 +42,6 @@ let test_vec_max_abs_scale () =
   let w = Lp.Sparse_vec.scale (-2.) v in
   check_float "scaled" 6. (Lp.Sparse_vec.get w 1);
   check_float "empty max_abs" 0. (Lp.Sparse_vec.max_abs Lp.Sparse_vec.empty)
-
-(* ---------- Spa ---------- *)
-
-let test_spa_roundtrip () =
-  let spa = Lp.Spa.create 10 in
-  Lp.Spa.add spa 3 1.;
-  Lp.Spa.add spa 3 2.;
-  Lp.Spa.set spa 7 (-1.);
-  Lp.Spa.add spa 5 1e-15;
-  let v = Lp.Spa.to_sparse spa in
-  Alcotest.(check int) "tiny dropped" 2 (Lp.Sparse_vec.nnz v);
-  check_float "accumulated" 3. (Lp.Sparse_vec.get v 3);
-  check_float "set" (-1.) (Lp.Sparse_vec.get v 7);
-  (* accumulator was reset by to_sparse *)
-  check_float "reset" 0. (Lp.Spa.get spa 3);
-  Lp.Spa.scatter spa (Lp.Sparse_vec.of_assoc [ (0, 1.) ]);
-  Lp.Spa.scatter_scaled spa 3. (Lp.Sparse_vec.of_assoc [ (0, 2.) ]);
-  check_float "scatter" 7. (Lp.Spa.get spa 0)
 
 (* ---------- Lu ---------- *)
 
@@ -367,8 +349,8 @@ let random_lp_agrees =
         | 1 -> Lp.Model.add_ge m !terms (rhs -. 6.)
         | _ -> if !terms <> [] then Lp.Model.add_le m !terms rhs
       done;
-      let sol_r = Lp.Model.solve ~solver:`Revised m in
-      let sol_d = Lp.Model.solve ~solver:`Dense m in
+      let sol_r = Lp.Model.solve m in
+      let sol_d = fst (Lp.Model.solve_dense_certified m) in
       match (sol_r.Lp.Model.status, sol_d.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (sol_r.Lp.Model.objective -. sol_d.Lp.Model.objective)
@@ -436,8 +418,6 @@ let () =
           Alcotest.test_case "of_arrays checks order" `Quick test_vec_of_arrays_unsorted;
           Alcotest.test_case "max_abs and scale" `Quick test_vec_max_abs_scale;
         ] );
-      ( "spa",
-        [ Alcotest.test_case "accumulate and extract" `Quick test_spa_roundtrip ] );
       ( "lu",
         [
           Alcotest.test_case "identity" `Quick test_lu_identity;

@@ -122,7 +122,7 @@ let test_revised_vs_dense () =
   for seed = 0 to n_cases - 1 do
     let spec = gen_spec (Rng.create seed) in
     let model = build_model spec in
-    let rev = Lp.Model.solve ~solver:`Revised model in
+    let rev = Lp.Model.solve model in
     let dense = solve_dense spec in
     (match (rev.Lp.Model.status, dense.Lp.Dense_simplex.status) with
     | Lp.Model.Optimal, Lp.Dense_simplex.Optimal ->
@@ -139,7 +139,7 @@ let test_revised_vs_dense () =
     match rev.Lp.Model.basis with
     | None -> ()
     | Some basis ->
-        let warm = Lp.Model.solve ~solver:`Revised ~warm_start:basis model in
+        let warm = Lp.Model.solve ~warm_start:basis model in
         if not (Lp.Model.status_equal warm.Lp.Model.status rev.Lp.Model.status)
         then
           Alcotest.failf "seed %d: warm re-solve changed the verdict to %s"
@@ -163,7 +163,7 @@ let test_revised_vs_dense () =
 let test_warm_start_perturbed () =
   for seed = 0 to (n_cases / 4) - 1 do
     let spec = gen_spec (Rng.create (10_000 + seed)) in
-    let rev = Lp.Model.solve ~solver:`Revised (build_model spec) in
+    let rev = Lp.Model.solve (build_model spec) in
     match rev.Lp.Model.basis with
     | None -> ()
     | Some basis ->
@@ -179,8 +179,8 @@ let test_warm_start_perturbed () =
           }
         in
         let model' = build_model spec' in
-        let cold = Lp.Model.solve ~solver:`Revised model' in
-        let warm = Lp.Model.solve ~solver:`Revised ~warm_start:basis model' in
+        let cold = Lp.Model.solve model' in
+        let warm = Lp.Model.solve ~warm_start:basis model' in
         if not (Lp.Model.status_equal warm.Lp.Model.status cold.Lp.Model.status)
         then
           Alcotest.failf

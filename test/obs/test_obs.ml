@@ -1,132 +1,9 @@
-(* Unit tests for the lib/obs telemetry stack: gating semantics of the
-   metrics registry, histogram percentile/merge math, trace round-trips
-   through the JSON-lines exporter, reader errors as results, and an
-   end-to-end check that a lossy simnet run's trace agrees with the
-   engine's own energy ledger. *)
+(* Unit tests for the lib/obs telemetry stack: trace round-trips through
+   the JSON-lines exporter, reader errors as results, the per-run report's
+   aggregation and exact percentiles, and an end-to-end check that a lossy
+   simnet run's trace agrees with the engine's own energy ledger. *)
 
-let cleanup () =
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.reset ();
-  Obs.Trace.install None
-
-let with_clean f () = Fun.protect ~finally:cleanup f
-
-(* ---- metrics ---- *)
-
-let test_gated_counter () =
-  let c = Obs.Metrics.counter "test.gated" in
-  Obs.Metrics.incr c;
-  Alcotest.(check int) "disabled incr is a no-op" 0 (Obs.Metrics.value c);
-  Obs.Metrics.set_enabled true;
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 4;
-  Alcotest.(check int) "enabled counts" 5 (Obs.Metrics.value c);
-  let c' = Obs.Metrics.counter "test.gated" in
-  Alcotest.(check int) "interned by name" 5 (Obs.Metrics.value c');
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Obs.Metrics.value c)
-
-let test_local_counter () =
-  let c = Obs.Metrics.local "test.local" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.incr c;
-  Alcotest.(check int) "local counts while disabled" 2 (Obs.Metrics.value c);
-  let c' = Obs.Metrics.local "test.local" in
-  Alcotest.(check int) "local counters are fresh, not interned" 0
-    (Obs.Metrics.value c');
-  Obs.Metrics.set_enabled true;
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "registry reset leaves locals alone" 2
-    (Obs.Metrics.value c)
-
-let test_histogram_single () =
-  Obs.Metrics.set_enabled true;
-  let h = Obs.Metrics.histogram "test.hist.single" in
-  Obs.Metrics.observe h 0.0042;
-  Alcotest.(check int) "count" 1 (Obs.Metrics.hist_count h);
-  (* Clamping to the observed extremes makes one sample exact at every
-     percentile, not just somewhere inside its log bucket. *)
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "p%g exact" p)
-        0.0042
-        (Obs.Metrics.percentile h p))
-    [ 0.; 50.; 99.; 100. ]
-
-let test_histogram_boundaries () =
-  Obs.Metrics.set_enabled true;
-  let h = Obs.Metrics.histogram "test.hist.bounds" in
-  List.iter (Obs.Metrics.observe h) [ 1.0; 2.0; 4.0; 8.0 ];
-  (* Estimates interpolate geometrically inside the owning log bucket
-     (one 8th of a decade wide) and are clamped to the observed extremes,
-     so each percentile must land in its sample's bucket. *)
-  let decade = 10. ** (1. /. float_of_int Obs.Metrics.buckets_per_decade) in
-  let in_bucket name p sample =
-    let v = Obs.Metrics.percentile h p in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s=%g within [%g, %g]" name v (sample /. decade)
-         (sample *. decade))
-      true
-      (v >= sample /. decade && v <= sample *. decade)
-  in
-  in_bucket "p0" 0. 1.0;
-  in_bucket "p50" 50. 2.0;
-  in_bucket "p100" 100. 8.0;
-  Alcotest.(check (float 1e-12))
-    "p100 clamps at the observed max" 8.0
-    (Float.max 8.0 (Obs.Metrics.percentile h 100.));
-  Alcotest.(check bool) "percentiles are monotone" true
-    (Obs.Metrics.percentile h 0. <= Obs.Metrics.percentile h 50.
-    && Obs.Metrics.percentile h 50. <= Obs.Metrics.percentile h 100.)
-
-let test_histogram_merge () =
-  Obs.Metrics.set_enabled true;
-  let a = Obs.Metrics.histogram "test.hist.merge.a" in
-  let b = Obs.Metrics.histogram "test.hist.merge.b" in
-  let all = Obs.Metrics.histogram "test.hist.merge.all" in
-  let xs = [ 0.001; 0.01; 0.02 ] and ys = [ 0.5; 3.0; 40.0; 41.0 ] in
-  List.iter (Obs.Metrics.observe a) xs;
-  List.iter (Obs.Metrics.observe b) ys;
-  List.iter (Obs.Metrics.observe all) (xs @ ys);
-  Obs.Metrics.merge_into ~into:a b;
-  Alcotest.(check int)
-    "merged count" (List.length xs + List.length ys)
-    (Obs.Metrics.hist_count a);
-  Alcotest.(check (float 1e-12)) "merged min" 0.001 (Obs.Metrics.hist_min a);
-  Alcotest.(check (float 1e-12)) "merged max" 41.0 (Obs.Metrics.hist_max a);
-  Alcotest.(check (float 1e-9))
-    "merged sum"
-    (Obs.Metrics.hist_sum all)
-    (Obs.Metrics.hist_sum a);
-  (* The shared bucket layout makes merge equivalent to observing the
-     union: every percentile must agree exactly. *)
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "merged p%g = union p%g" p p)
-        (Obs.Metrics.percentile all p)
-        (Obs.Metrics.percentile a p))
-    [ 0.; 25.; 50.; 75.; 90.; 99.; 100. ]
-
-let test_disabled_noop () =
-  let h = Obs.Metrics.histogram "test.hist.disabled" in
-  Obs.Metrics.observe h 1.0;
-  Alcotest.(check int) "registered histogram gated off" 0
-    (Obs.Metrics.hist_count h);
-  let lh = Obs.Metrics.local_histogram "test.hist.local" in
-  Obs.Metrics.observe lh 1.0;
-  Alcotest.(check int) "local histogram records anyway" 1
-    (Obs.Metrics.hist_count lh);
-  let t = Obs.Metrics.timer "test.timer.disabled" in
-  let r = Obs.Metrics.time t (fun () -> 42) in
-  Alcotest.(check int) "timed thunk still runs" 42 r;
-  Alcotest.(check int) "disabled timer records nothing" 0
-    (Obs.Metrics.hist_count (Obs.Metrics.timer_histogram t));
-  Obs.Metrics.set_enabled true;
-  ignore (Obs.Metrics.time t (fun () -> ()));
-  Alcotest.(check int) "enabled timer records" 1
-    (Obs.Metrics.hist_count (Obs.Metrics.timer_histogram t))
+let with_clean f () = Fun.protect ~finally:(fun () -> Obs.Trace.install None) f
 
 (* ---- trace ---- *)
 
@@ -223,12 +100,61 @@ let test_missing_file_is_error () =
     "Json.of_file" true
     (Result.is_error (Obs.Json.of_file (path ^ ".json")))
 
+(* ---- report ---- *)
+
+let span kind name dur_s attrs =
+  { Obs.Trace.kind; name; start_s = 0.; dur_s; attrs }
+
+(* Five timed solves (given out of order), one certify pass and a
+   zero-duration retransmit point event. *)
+let report_events =
+  [
+    span Obs.Trace.Solve "lp.revised" 0.005 [ ("iterations", Obs.Trace.Int 7) ];
+    span Obs.Trace.Solve "lp.revised" 0.001
+      [ ("iterations", Obs.Trace.Int 2); ("status", Obs.Trace.Str "optimal") ];
+    span Obs.Trace.Solve "lp.revised" 0.003 [ ("iterations", Obs.Trace.Int 4) ];
+    span Obs.Trace.Solve "lp.revised" 0.002 [ ("iterations", Obs.Trace.Int 1) ];
+    span Obs.Trace.Solve "lp.revised" 0.004
+      [ ("iterations", Obs.Trace.Int 6); ("warm", Obs.Trace.Bool true) ];
+    span Obs.Trace.Certify "lp.model" 0.0005
+      [ ("duality_gap", Obs.Trace.Float 1.5e-9) ];
+    span Obs.Trace.Retransmit "simnet.engine" 0. [ ("src", Obs.Trace.Int 3) ];
+  ]
+
+let test_report () =
+  let r = Obs.Report.of_events report_events in
+  let rows = Obs.Report.rows r in
+  Alcotest.(check (list string))
+    "rows sorted by (kind, name)"
+    [ "lp.revised"; "lp.model"; "simnet.engine" ]
+    (List.map (fun row -> row.Obs.Report.name) rows);
+  let solve = List.hd rows in
+  Alcotest.(check int) "solve count" 5 solve.Obs.Report.count;
+  Alcotest.(check (float 1e-12)) "total" 0.015 solve.Obs.Report.total_dur_s;
+  Alcotest.(check (float 0.)) "max" 0.005 solve.Obs.Report.max_dur_s;
+  Alcotest.(check (list (pair string (float 0.))))
+    "numeric attrs summed, by key" [ ("iterations", 20.) ]
+    solve.Obs.Report.attr_sums;
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Obs.Report.pp r) in
+  let has line =
+    Alcotest.(check bool) line true (List.exists (String.equal line) lines)
+  in
+  (* Nearest rank over the sorted durations: n = 5 puts p50 on the third
+     value and p90/p99 on the fifth; a single sample is every percentile;
+     point events have no latency line. *)
+  has "solve durations: n=5 p50=3.000ms p90=5.000ms p99=5.000ms max=5.000ms";
+  has "certify durations: n=1 p50=0.500ms p90=0.500ms p99=0.500ms max=0.500ms";
+  has "retransmit/simnet.engine attr totals: src=3";
+  Alcotest.(check bool) "no retransmit durations" false
+    (List.exists
+       (String.starts_with ~prefix:"retransmit durations")
+       lines)
+
 (* ---- the revised solver's span ---- *)
 
 (* One [Revised.solve] emits one [lp.revised] span; a problem its
    validation rejects raises the exact message and emits none. *)
 let test_revised_span () =
-  Obs.Metrics.set_enabled true;
   let sink = Obs.Trace.create () in
   Obs.Trace.install (Some sink);
   let m = Lp.Model.create ~direction:Lp.Model.Maximize () in
@@ -251,7 +177,6 @@ let test_revised_span () =
 (* ---- end to end: simnet trace vs engine ledger ---- *)
 
 let test_simnet_roundtrip () =
-  Obs.Metrics.set_enabled true;
   let sink = Obs.Trace.create () in
   Obs.Trace.install (Some sink);
   let n = 20 and k = 4 in
@@ -310,21 +235,6 @@ let test_simnet_roundtrip () =
 let () =
   Alcotest.run "obs"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "gated counter" `Quick
-            (with_clean test_gated_counter);
-          Alcotest.test_case "local counter" `Quick
-            (with_clean test_local_counter);
-          Alcotest.test_case "single-sample histogram" `Quick
-            (with_clean test_histogram_single);
-          Alcotest.test_case "bucket boundaries" `Quick
-            (with_clean test_histogram_boundaries);
-          Alcotest.test_case "merge semantics" `Quick
-            (with_clean test_histogram_merge);
-          Alcotest.test_case "disabled mode is a no-op" `Quick
-            (with_clean test_disabled_noop);
-        ] );
       ( "trace",
         [
           Alcotest.test_case "emit requires a sink" `Quick
@@ -334,6 +244,11 @@ let () =
           Alcotest.test_case "csv export" `Quick (with_clean test_csv_export);
           Alcotest.test_case "missing file is an error" `Quick
             (with_clean test_missing_file_is_error);
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "rows, attr sums and exact percentiles" `Quick
+            test_report;
         ] );
       ( "lp",
         [

@@ -1,7 +1,7 @@
 (* Line-keyed acceptance list for legacy findings.  Each non-comment line
    is a finding key as printed by [Finding.baseline_key]:
 
-       R2 lib/obs/metrics.ml:309
+       R2 lib/lp/lu.ml:309
 
    A finding whose key appears here is reported but does not fail the
    run.  Entries that no longer match anything are reported as stale so

@@ -112,8 +112,8 @@ let all =
       id = "R7";
       title = "domain-safety";
       description =
-        "mutable state (refs, arrays, mutable containers, Obs metrics) \
-         captured by a closure passed to Domain.spawn must be Atomic.t, \
+        "mutable state (refs, arrays, mutable containers) captured by a \
+         closure passed to Domain.spawn must be Atomic.t, \
          and every Domain.spawn must sit in an allowlisted, audited \
          fan-out region (lib/serve server.ml run_tasks); anything else is \
          a latent data race on the serving path";
@@ -388,10 +388,6 @@ let r7_mutable_type_path p =
       "Buffer.t";
       "Queue.t";
       "Stack.t";
-      "Metrics.counter";
-      "Metrics.fsum";
-      "Metrics.gauge";
-      "Metrics.histogram";
     ]
 
 let rec r7_type_class (ty : Types.type_expr) =
